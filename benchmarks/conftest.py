@@ -7,9 +7,9 @@ is run once per benchmark round.
 
 The library benchmarks additionally record their throughput (ops/sec) and
 decode-cache hit rates via the ``record_rate`` fixture; at session end the
-collected numbers are written to ``BENCH_interpreter.json`` at the repo
-root, next to the frozen pre-cache seed baseline, so before/after is one
-file diff.
+collected numbers are merged into ``BENCH_interpreter.json`` at the repo
+root (rows from other sessions are kept), next to the frozen pre-cache
+seed baseline, so before/after is one file diff.
 """
 
 import json
@@ -105,15 +105,27 @@ def record_rate(request):
     return record
 
 
-def pytest_sessionfinish(session, exitstatus):
-    if not _RESULTS:
-        return
+def write_bench_json(path: Path, session_results: dict[str, dict]) -> None:
+    """Merge one session's rows into the bench record at ``path``.
+
+    CI records in several pytest sessions (library + serve, telemetry
+    overhead, sanitizer overhead) before ``speedup_gate.py`` reads the
+    file, so a session replaces only the rows it measured and keeps every
+    other row; ``speedup_vs_seed`` is recomputed over the merged rows.
+    """
+    previous: dict = {}
+    if path.exists():
+        try:
+            previous = json.loads(path.read_text())
+        except (ValueError, OSError):
+            previous = {}
+    results = {**previous.get("results", {}), **session_results}
     baseline = {
         name: dict(values) if values is not None else None
         for name, values in SEED_BASELINE.items()
     }
     speedups = {}
-    for name, entry in _RESULTS.items():
+    for name, entry in results.items():
         baseline.setdefault(name, None)
         seed = baseline[name]
         if seed and entry.get("ops_per_sec"):
@@ -126,26 +138,25 @@ def pytest_sessionfinish(session, exitstatus):
             speedups[name] = None
     # High-water marks for the regression gate (speedup_gate.py): keep
     # the best ops/sec ever recorded for each benchmark.
-    best: dict[str, int] = {}
-    if _BENCH_JSON.exists():
-        try:
-            previous = json.loads(_BENCH_JSON.read_text())
-            best = {
-                name: value
-                for name, value in previous.get("best_ops_per_sec", {}).items()
-                if isinstance(value, (int, float))
-            }
-        except (ValueError, OSError):
-            best = {}
-    for name, entry in _RESULTS.items():
+    best = {
+        name: value
+        for name, value in previous.get("best_ops_per_sec", {}).items()
+        if isinstance(value, (int, float))
+    }
+    for name, entry in session_results.items():
         ops = entry.get("ops_per_sec")
         if ops:
             best[name] = max(best.get(name, 0), ops)
     payload = {
-        "generated_by": "benchmarks/test_library_perf.py",
+        "generated_by": "benchmarks/conftest.py",
         "seed_baseline": baseline,
-        "results": _RESULTS,
+        "results": results,
         "speedup_vs_seed": speedups,
         "best_ops_per_sec": dict(sorted(best.items())),
     }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _RESULTS:
+        write_bench_json(_BENCH_JSON, _RESULTS)

@@ -25,7 +25,7 @@ from repro.analysis.sites import DiscoveredSite, discover_binary_sites
 from repro.arch.binary import Binary
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
-from repro.perf.trace import Tracer
+from repro.obs import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def run_differential(
         sites = discover_binary_sites(binary)
 
     xc = XContainer(CountingServices())
-    tracer = Tracer(xc.clock, capacity=65536)
+    tracer = TraceRecorder(xc.clock, capacity=65536)
     xc.attach_tracer(tracer)
     xc.run(binary, max_instructions=max_instructions)
 
@@ -156,7 +156,7 @@ def run_differential(
     # byte-identical patched text — compiled traces may skip *decoding*
     # but must never hide or invent a syscall trap.
     xc_cold = XContainer(CountingServices(), tracecache=False)
-    tracer_cold = Tracer(xc_cold.clock, capacity=65536)
+    tracer_cold = TraceRecorder(xc_cold.clock, capacity=65536)
     xc_cold.attach_tracer(tracer_cold)
     xc_cold.run(binary, max_instructions=max_instructions)
     trapped_cold = {

@@ -9,13 +9,15 @@
     repro analyze [example]      # static §4.4 patch-safety analysis
     repro chaos [scenario]       # deterministic fault-injection scenarios
     repro fuzz                   # stateful whole-stack scenario fuzzing
+    repro serve [scenario]       # serving fleet: IPVS + autoscaler
     repro sanitize [target]      # cross-vCPU sanitizer suite
     repro metrics                # telemetry demo: registry snapshot
     repro trace                  # telemetry demo: span timeline
 
-``analyze``, ``chaos``, ``fuzz``, ``sanitize``, ``metrics`` and ``trace``
-share one output surface: ``--format {table,json}`` picks the rendering
-and ``--output PATH`` redirects it to a file (default: stdout).
+``analyze``, ``chaos``, ``fuzz``, ``serve``, ``sanitize``, ``metrics``
+and ``trace`` share one output surface: ``--format {table,json}`` picks
+the rendering and ``--output PATH`` redirects it to a file (default:
+stdout).
 
 (also reachable as ``python -m repro``)
 """
@@ -49,6 +51,15 @@ def _emit(args: argparse.Namespace, text: str) -> None:
     else:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_report(args: argparse.Namespace, report) -> None:
+    """Emit a run report: ``as_dict()`` under ``--format json``, else
+    ``render()``."""
+    if args.format == "json":
+        _emit(args, _json_text(report.as_dict()))
+    else:
+        _emit(args, report.render())
 
 
 def _json_text(payload: object) -> str:
@@ -220,10 +231,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             )
         names = [args.scenario]
     report = run_scenarios(args.seed, names)
-    if args.format == "json":
-        _emit(args, _json_text(report.as_dict()))
-    else:
-        _emit(args, report.render())
+    _emit_report(args, report)
     if not report.all_recovered:
         return 1
     if names is None and not report.core_coverage_ok():
@@ -258,10 +266,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.prometheus:
         _emit(args, prometheus_text(report.result.telemetry.registry))
-    elif args.format == "json":
-        _emit(args, _json_text(report.as_dict()))
     else:
-        _emit(args, report.render())
+        _emit_report(args, report)
     if not report.result.slo_ok or not report.result.conservation_ok:
         return 1
     return 0
@@ -295,10 +301,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
             "(known: chaos, workloads, fixtures, all)"
         )
     report = run_sanitize(args.seed, args.target)
-    if args.format == "json":
-        _emit(args, _json_text(report.as_dict()))
-    else:
-        _emit(args, report.render())
+    _emit_report(args, report)
     if args.target == "fixtures":
         # The inverted gate: every seeded race must still be caught.
         return 0 if all(not u.clean for u in report.units) else 1
@@ -322,10 +325,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         steps=args.steps,
         defect=args.defect,
     )
-    if args.format == "json":
-        _emit(args, _json_text(report.as_dict()))
-    else:
-        _emit(args, report.render())
+    _emit_report(args, report)
     return 0 if report.ok else 1
 
 
@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared output surface for analyze / chaos / metrics / trace.
+    # Shared output surface for analyze / chaos / fuzz / serve /
+    # sanitize / metrics / trace.
     common_output = argparse.ArgumentParser(add_help=False)
     common_output.add_argument(
         "--format", choices=("table", "json"), default="table",

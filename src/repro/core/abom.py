@@ -104,7 +104,7 @@ class ABOM:
         #: lose, exercising §4.4's retry arguments.
         self.faults = faults
         self.stats = AbomStats()
-        #: Optional :class:`repro.perf.trace.Tracer` receiving patch events.
+        #: Optional :class:`repro.obs.TraceRecorder` receiving patch events.
         self.tracer = None
         #: True while a patch is in flight — models "temporarily disables
         #: interrupts"; tests assert it is never observable from outside.

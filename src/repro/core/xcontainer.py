@@ -82,7 +82,7 @@ class XContainer:
         self.xkernel.attach(self.cpu, self.libos)
         self._setup_stack(self.cpu, index=0)
         #: name -> split driver (SplitNetDriver / SplitBlockDriver) whose
-        #: batch counters :meth:`io_stats` surfaces.
+        #: ring counters :meth:`telemetry` surfaces.
         self._io_drivers: dict[str, object] = {}
         #: Lazily-built :class:`repro.obs.Telemetry` (see :meth:`telemetry`).
         self._telemetry = None
@@ -124,7 +124,7 @@ class XContainer:
             icache=self.icache_enabled,
             tracecache=self.tracecache_enabled,
         )
-        if cpu._tracecache is not None and self.xkernel.tracer is not None:
+        if cpu._tracecache is not None:
             cpu._tracecache.tracer = self.xkernel.tracer
         self.xkernel.attach(cpu, self.libos)
         self._setup_stack(cpu, index=len(self.cpus))
@@ -209,8 +209,9 @@ class XContainer:
         )
 
     def attach_tracer(self, tracer) -> None:
-        """Route X-Kernel, ABOM, LibOS — and, when a fault engine is
-        attached, fault-injection lifecycle events — into ``tracer``."""
+        """Point the X-Kernel, ABOM, X-LibOS, every vCPU's trace cache and
+        (when attached) the fault engine at one
+        :class:`repro.obs.TraceRecorder`; each emits instant events."""
         self.xkernel.tracer = tracer
         self.xkernel.abom.tracer = tracer
         self.libos.tracer = tracer
@@ -219,8 +220,6 @@ class XContainer:
                 cpu._tracecache.tracer = tracer
         if self.faults is not None:
             self.faults.tracer = tracer
-        if self._telemetry is not None:
-            self._telemetry.attach_tracer(tracer)
 
     def step(self, count: int = 1) -> int:
         """Execute up to ``count`` instructions; returns how many ran."""
@@ -343,37 +342,8 @@ class XContainer:
                 wire.wire_faults(registry, self.faults)
             for name, driver in self._io_drivers.items():
                 wire.wire_ring_driver(registry, name, driver)
-            if self.xkernel.tracer is not None:
-                tel.attach_tracer(self.xkernel.tracer)
             self._telemetry = tel
         return self._telemetry
-
-    def icache_stats(self) -> dict[str, float]:
-        """Deprecated: query :meth:`telemetry` (``arch_icache_*_total``).
-
-        Shim kept for the legacy shape ``{hits, misses, invalidations,
-        hit_rate}``; resolves through the registry when telemetry is
-        enabled so the two surfaces cannot drift.
-        """
-        import warnings
-
-        warnings.warn(
-            "XContainer.icache_stats() is deprecated; use "
-            "telemetry().value('arch_icache_hits_total') etc. instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not self._telemetry_enabled:
-            return self.xkernel._icache_summary()
-        from repro.obs import wire
-
-        tel = self.telemetry()
-        summary: dict[str, float] = {}
-        for key, metric in wire.ICACHE_LEGACY.items():
-            summary[key] = int(tel.value(metric))
-        total = summary["hits"] + summary["misses"]
-        summary["hit_rate"] = summary["hits"] / total if total else 0.0
-        return summary
 
     def attach_io_driver(self, name: str, driver) -> None:
         """Register a split I/O driver so its ring counters surface in
@@ -390,45 +360,6 @@ class XContainer:
             from repro.obs import wire
 
             wire.wire_ring_driver(self._telemetry.registry, name, driver)
-
-    def io_stats(self) -> dict[str, dict[str, float]]:
-        """Deprecated: query :meth:`telemetry` (``xen_ring_*`` metrics).
-
-        Shim kept for the legacy per-driver dict shape; resolves through
-        the registry when telemetry is enabled.
-        """
-        import warnings
-
-        warnings.warn(
-            "XContainer.io_stats() is deprecated; use "
-            "telemetry().value('xen_ring_batches_total', driver=...) etc. "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not self._telemetry_enabled:
-            return {
-                name: driver.stats.as_dict()
-                for name, driver in self._io_drivers.items()
-            }
-        from repro.obs import wire
-
-        tel = self.telemetry()
-        result: dict[str, dict[str, float]] = {}
-        for name, driver in self._io_drivers.items():
-            legacy = (
-                wire.BLK_RING_LEGACY
-                if hasattr(driver.stats, "reads")
-                else wire.NET_RING_LEGACY
-            )
-            stats: dict[str, float] = {}
-            for field_name, metric in legacy.items():
-                value = tel.value(metric, driver=name)
-                if field_name != "avg_batch_size":
-                    value = int(value)
-                stats[field_name] = value
-            result[name] = stats
-        return result
 
     def syscall_reduction(self) -> float:
         """Fraction of syscall invocations served without a kernel crossing.

@@ -70,9 +70,7 @@ class XKernel:
             memory, self.costs, clock, enabled=abom_enabled, faults=faults
         )
         self.stats = XKernelStats()
-        #: vCPUs attached via :meth:`attach`, for decode-cache reporting.
-        self.cpus: list[CPU] = []
-        #: Optional :class:`repro.perf.trace.Tracer`.
+        #: Optional :class:`repro.obs.TraceRecorder` (instant events).
         self.tracer = None
         #: The XPTI patch is ported to the X-Kernel (§5.1) but does not
         #: affect the syscall path — syscalls never cross into the
@@ -91,42 +89,6 @@ class XKernel:
 
         cpu.trap_handler = handler
         libos.attach(cpu)
-        self.cpus.append(cpu)
-
-    def icache_summary(self) -> dict[str, float]:
-        """Deprecated: read ``arch_icache_*`` metrics from the telemetry
-        registry instead (see ``docs/telemetry.md``).
-
-        Thin shim over :meth:`_icache_summary`, kept for the legacy dict
-        shape ``{hits, misses, invalidations, hit_rate}``.
-        """
-        import warnings
-
-        warnings.warn(
-            "XKernel.icache_summary() is deprecated; query the telemetry "
-            "registry (arch_icache_*_total) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._icache_summary()
-
-    def _icache_summary(self) -> dict[str, float]:
-        """Aggregate decode-cache counters across all attached vCPUs.
-
-        ABOM's patches are stores to live text: every one of them shows up
-        here as invalidations on the vCPUs that had the patched page
-        cached.  The perf layer reports these next to the Table 1 syscall
-        counters.
-        """
-        summary = {"hits": 0, "misses": 0, "invalidations": 0}
-        for cpu in self.cpus:
-            stats = cpu.icache_stats
-            summary["hits"] += stats.hits
-            summary["misses"] += stats.misses
-            summary["invalidations"] += stats.invalidations
-        total = summary["hits"] + summary["misses"]
-        summary["hit_rate"] = summary["hits"] / total if total else 0.0
-        return summary
 
     # ------------------------------------------------------------------
     # Trap handling

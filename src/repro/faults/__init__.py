@@ -16,7 +16,7 @@ repository *tests* that claim instead of asserting it.  It provides:
   (:func:`~repro.faults.registry.scenario`,
   :func:`~repro.faults.registry.register`,
   :func:`~repro.faults.registry.get_scenario`) that replaced the old
-  module-level ``SCENARIOS`` dict (kept as a deprecation shim);
+  module-level ``SCENARIOS`` dict;
 * :mod:`~repro.faults.report` — the ``repro chaos`` run report.
 
 Only the light pieces are imported eagerly (substrates import site names

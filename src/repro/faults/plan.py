@@ -219,7 +219,7 @@ class FaultEngine:
     Substrates call :meth:`fire` on every occurrence of a site; retry
     policies and recovery paths report back through :meth:`record_retry`,
     :meth:`record_recovered`, and :meth:`record_fatal`.  All four emit
-    into an attached :class:`repro.perf.trace.Tracer` under the ``fault``
+    into an attached :class:`repro.obs.TraceRecorder` under the ``fault``
     category.
     """
 
@@ -231,7 +231,7 @@ class FaultEngine:
     ) -> None:
         self.plan = plan
         self.clock = clock
-        #: Optional :class:`repro.perf.trace.Tracer`; events carry the
+        #: Optional :class:`repro.obs.TraceRecorder`; events carry the
         #: ``fault`` category with names injected/retried/recovered/fatal.
         self.tracer = tracer
         self._root = DeterministicRng(plan.seed)
@@ -347,7 +347,7 @@ class FaultEngine:
     def _emit(self, name: str, site: str, **detail) -> None:
         if self.tracer is not None:
             # Substrate detail keys must not shadow the event's own
-            # fields (or Tracer.emit's parameters).
+            # fields (or TraceRecorder.emit's parameters).
             detail = {
                 key: value
                 for key, value in detail.items()

@@ -27,11 +27,10 @@ report's row order is part of the byte-identical-replay bar), while the
 unknown-name error and ``repro chaos --list`` sort names so messages are
 deterministic regardless of registration order.
 
-The old surface — ``scenarios.SCENARIOS`` / ``scenarios.get`` /
-``scenarios.names`` — survives as deprecation shims that resolve through
-this registry (the ``wire.*_LEGACY`` pattern: shims that *cannot* drift
-because they are views over the new source of truth).  Migration table in
-``docs/stateful_fuzzing.md``.
+The old module-level surface — ``scenarios.SCENARIOS`` /
+``scenarios.get`` / ``scenarios.names`` — has been removed; the
+migration table in ``docs/stateful_fuzzing.md`` maps each name to its
+replacement here.
 """
 
 from __future__ import annotations

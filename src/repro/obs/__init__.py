@@ -7,14 +7,16 @@ debugging tools keep working", applied to ourselves):
   :class:`Histogram` — label-aware instruments with per-domain scoping
   via child registries;
 * :class:`Telemetry` — the facade ``XContainer.telemetry()`` returns;
-* :class:`SpanRecorder` / ``registry.span(...)`` — span tracing over the
-  simulated clock, layered on :class:`repro.perf.trace.Tracer`;
+* :class:`TraceRecorder` / ``registry.span(...)`` — the one trace
+  recorder: spans and instant events on the simulated clock (the
+  X-Kernel, ABOM, X-LibOS, trace cache and fault engine emit into it via
+  ``XContainer.attach_tracer``);
 * :func:`prometheus_text`, :func:`chrome_trace_json`,
   :func:`render_table` — deterministic exporters (``repro metrics``,
   ``repro trace``).
 
 See ``docs/telemetry.md`` for the naming convention and the migration
-table from the legacy per-subsystem accessors.
+table from the removed per-subsystem accessors.
 """
 
 from repro.obs.exporters import (
@@ -30,7 +32,7 @@ from repro.obs.registry import (
     Histogram,
     Registry,
 )
-from repro.obs.tracing import Span, SpanRecorder
+from repro.obs.tracing import Span, TraceEvent, TraceRecorder
 
 __all__ = [
     "Counter",
@@ -39,8 +41,9 @@ __all__ = [
     "Histogram",
     "Registry",
     "Span",
-    "SpanRecorder",
     "Telemetry",
+    "TraceEvent",
+    "TraceRecorder",
     "chrome_trace_json",
     "prometheus_text",
     "render_table",

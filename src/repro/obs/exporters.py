@@ -17,7 +17,7 @@ from repro.obs.registry import (
     format_value,
     render_sample_key,
 )
-from repro.obs.tracing import SpanRecorder
+from repro.obs.tracing import TraceRecorder
 
 # ---------------------------------------------------------------------------
 # Prometheus exposition format
@@ -89,14 +89,14 @@ def prometheus_text(registry: Registry) -> str:
 # ---------------------------------------------------------------------------
 
 
-def chrome_trace_json(spans: SpanRecorder, pretty: bool = False) -> str:
+def chrome_trace_json(spans: TraceRecorder, pretty: bool = False) -> str:
     """Finished spans as Chrome trace ``X`` (complete) events.
 
     Timestamps are microseconds (the format's unit); span/parent ids ride
     in ``args`` so Perfetto's flow queries can rebuild the hierarchy.
     """
     events = []
-    for span in spans.finished:
+    for span in spans.spans():
         args: dict[str, object] = {"span_id": span.span_id}
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id

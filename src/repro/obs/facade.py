@@ -1,7 +1,7 @@
 """The ``Telemetry`` facade: one object behind every stats surface.
 
 Bundles a :class:`~repro.obs.registry.Registry` (metrics) with a
-:class:`~repro.obs.tracing.SpanRecorder` (spans) on one simulated clock,
+:class:`~repro.obs.tracing.TraceRecorder` (spans) on one simulated clock,
 and exposes the three exporters.  ``XContainer.telemetry()`` returns one
 of these; ``snapshot()`` is the single deterministic structure the
 acceptance criteria ask for — icache, hypercall, I/O-batch, HTTP-latency
@@ -14,25 +14,19 @@ from typing import Any
 
 from repro.obs import exporters
 from repro.obs.registry import Registry
-from repro.obs.tracing import SpanRecorder
+from repro.obs.tracing import TraceRecorder
 from repro.perf.clock import SimClock
 
 
 class Telemetry:
-    """Registry + span recorder over one clock; the ``telemetry()`` API."""
+    """Registry + trace recorder over one clock; the ``telemetry()`` API."""
 
     def __init__(
-        self,
-        clock: SimClock | None = None,
-        tracer: Any = None,
-        span_capacity: int = 65536,
-        **labels: object,
+        self, clock: SimClock | None = None, **labels: object
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.registry = Registry(**labels)
-        self.spans = SpanRecorder(
-            self.clock, tracer=tracer, capacity=span_capacity
-        )
+        self.spans = TraceRecorder(self.clock)
         self.registry.spans = self.spans
 
     # -- scoping / spans ----------------------------------------------
@@ -42,10 +36,6 @@ class Telemetry:
 
     def span(self, name: str, **labels: object) -> Any:
         return self.registry.span(name, **labels)
-
-    def attach_tracer(self, tracer: Any) -> None:
-        """Route span begin/end events into a flat Tracer as well."""
-        self.spans.tracer = tracer
 
     # -- instruments (delegation for the common cases) ----------------
     def counter(self, name: str, help: str = "", **labels: object) -> Any:
@@ -64,15 +54,16 @@ class Telemetry:
     def snapshot(self) -> dict:
         """Metrics plus span aggregates, deterministically ordered."""
         snap = self.registry.snapshot()
+        spans = self.spans.spans()
         by_name: dict[str, dict[str, float]] = {}
-        for span in self.spans.finished:
+        for span in spans:
             agg = by_name.setdefault(
                 span.name, {"count": 0, "total_ns": 0.0}
             )
             agg["count"] += 1
             agg["total_ns"] += span.duration_ns
         snap["spans"] = {
-            "finished": len(self.spans.finished),
+            "finished": len(spans),
             "dropped": self.spans.dropped,
             "by_name": dict(sorted(by_name.items())),
         }

@@ -340,7 +340,7 @@ class Registry:
         self._scope = _canon_labels(labels)
         self._instruments: dict[tuple[str, LabelItems], Instrument] = {}
         self._families: list[_BoundFamily] = []
-        #: Shared span recorder (installed by the Telemetry facade).
+        #: Shared trace recorder (installed by the Telemetry facade).
         self.spans = None
 
     # -- scoping -------------------------------------------------------
@@ -450,7 +450,7 @@ class Registry:
         """Open a span scoped with this registry's labels.
 
         ``registry.span("netfront.tx", domain="xc0")`` — requires a
-        :class:`~repro.obs.tracing.SpanRecorder` (installed by the
+        :class:`~repro.obs.tracing.TraceRecorder` (installed by the
         :class:`~repro.obs.facade.Telemetry` facade).
         """
         if self.spans is None:

@@ -1,23 +1,32 @@
-"""Span-based tracing over the simulated clock.
+"""The trace recorder: spans and instant events on the simulated clock.
 
-A span is a named interval of simulated time with a deterministic id and
-an explicit parent (the innermost span open when it started), layered on
-the pieces that already exist: :class:`~repro.perf.clock.SimClock`
-supplies timestamps and an optional :class:`~repro.perf.trace.Tracer`
-receives begin/end events under the ``span`` category, so ``repro
-trace`` output and the legacy flat trace stay consistent.
+One :class:`TraceRecorder` records two kinds of item against one
+:class:`~repro.perf.clock.SimClock`:
 
-Spans are cheap — two clock reads, one list append — and they never
-advance the clock, so tracing cannot perturb simulated results.  The
-recorder is bounded like the Tracer's ring: past ``capacity`` finished
-spans the oldest are dropped (counted in :attr:`SpanRecorder.dropped`).
+* **spans** — named intervals with a deterministic id and an explicit
+  parent (the innermost span open when it started), via
+  :meth:`~TraceRecorder.begin`/:meth:`~TraceRecorder.end` or the
+  :meth:`~TraceRecorder.span` context manager;
+* **instant events** — ``emit(category, name, **detail)``, read back
+  with :meth:`~TraceRecorder.events`.  The X-Kernel, ABOM, X-LibOS, each
+  vCPU's trace cache and the fault engine emit these once
+  ``XContainer.attach_tracer(recorder)`` points them at a recorder;
+  ``detail`` keeps the emitter's raw values.
 
-Export: :func:`repro.obs.exporters.chrome_trace_json` renders finished
-spans in the Chrome ``about://tracing`` / Perfetto event format.
+Both kinds share one bounded store: past ``capacity`` records the oldest
+is evicted in O(1) and counted in :attr:`TraceRecorder.dropped`, and the
+first eviction of an overflow episode warns once (:meth:`~TraceRecorder.
+clear` re-arms the warning).  Recording never advances the clock, so
+tracing cannot perturb simulated results.
+
+Export: :func:`repro.obs.exporters.chrome_trace_json` and
+:meth:`TraceRecorder.render` (``repro trace``) show spans only.
 """
 
 from __future__ import annotations
 
+import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,6 +49,16 @@ class Span:
         return self.end_ns - self.start_ns
 
 
+@dataclass(frozen=True)
+class TraceEvent:
+    """One instant event; ``detail`` holds the emitter's raw values."""
+
+    ts_ns: float
+    category: str
+    name: str
+    detail: dict[str, Any] = field(default_factory=dict)
+
+
 @dataclass
 class _ActiveSpan:
     span_id: int
@@ -49,28 +68,42 @@ class _ActiveSpan:
     labels: tuple[tuple[str, str], ...]
 
 
-class SpanRecorder:
-    """Collects spans against one clock; shared across a registry tree."""
+class TraceRecorder:
+    """Spans and instant events against one clock, in one bounded store."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        tracer: Any = None,
-        capacity: int = 65536,
-    ) -> None:
+    def __init__(self, clock: SimClock, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         self.clock = clock
-        #: Optional :class:`repro.perf.trace.Tracer` receiving span
-        #: begin/end under the ``span`` category.
-        self.tracer = tracer
-        self.capacity = capacity
-        self.finished: list[Span] = []
+        self._records: deque[Span | TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
+        self._overflow_warned = False
         self._stack: list[_ActiveSpan] = []
         self._next_id = 1
 
     # -- recording -----------------------------------------------------
+    def _store(self, record: Span | TraceEvent) -> None:
+        records = self._records
+        if len(records) == records.maxlen:
+            self.dropped += 1
+            if not self._overflow_warned:
+                # Warn once per overflow episode (chaos runs can emit far
+                # more than a small capacity) instead of dropping
+                # silently; ``dropped`` keeps the exact count either way.
+                self._overflow_warned = True
+                warnings.warn(
+                    f"TraceRecorder ring overflowed its capacity of "
+                    f"{records.maxlen}; oldest records are being dropped "
+                    f"(raise TraceRecorder(capacity=...) to keep them)",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        records.append(record)
+
+    def emit(self, category: str, name: str, **detail: Any) -> None:
+        """Record an instant event at the current simulated time."""
+        self._store(TraceEvent(self.clock.now_ns, category, name, detail))
+
     def begin(self, name: str, **labels: object) -> _ActiveSpan:
         parent = self._stack[-1].span_id if self._stack else None
         span = _ActiveSpan(
@@ -84,8 +117,6 @@ class SpanRecorder:
         )
         self._next_id += 1
         self._stack.append(span)
-        if self.tracer is not None:
-            self.tracer.emit("span", f"{name}.begin", span_id=span.span_id)
         return span
 
     def end(self, active: _ActiveSpan) -> Span:
@@ -102,17 +133,7 @@ class SpanRecorder:
             end_ns=self.clock.now_ns,
             labels=active.labels,
         )
-        if len(self.finished) >= self.capacity:
-            self.dropped += 1
-            del self.finished[0]
-        self.finished.append(span)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "span",
-                f"{span.name}.end",
-                span_id=span.span_id,
-                dur_ns=span.duration_ns,
-            )
+        self._store(span)
         return span
 
     def span(self, name: str, **labels: object) -> "_SpanContext":
@@ -121,26 +142,34 @@ class SpanRecorder:
 
     # -- queries -------------------------------------------------------
     def spans(self, name: str | None = None) -> list[Span]:
-        if name is None:
-            return list(self.finished)
-        return [s for s in self.finished if s.name == name]
+        """Finished spans still in the store, oldest first."""
+        return [
+            r for r in self._records
+            if isinstance(r, Span) and (name is None or r.name == name)
+        ]
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.finished if s.parent_id == span.span_id]
-
-    def total_ns(self, name: str) -> float:
-        return sum(s.duration_ns for s in self.spans(name))
+    def events(
+        self, category: str | None = None, name: str | None = None
+    ) -> list[TraceEvent]:
+        """Instant events still in the store, oldest first."""
+        return [
+            r for r in self._records
+            if isinstance(r, TraceEvent)
+            and (category is None or r.category == category)
+            and (name is None or r.name == name)
+        ]
 
     def clear(self) -> None:
-        self.finished.clear()
+        self._records.clear()
         self.dropped = 0
+        self._overflow_warned = False
 
     def render(self, limit: int = 50) -> str:
         """Deterministic fixed-width span table (``repro trace``)."""
         lines = [
             f"{'id':>6} {'parent':>6} {'start us':>14} {'dur us':>12}  name",
         ]
-        for span in self.finished[-limit:]:
+        for span in self.spans()[-limit:]:
             parent = str(span.parent_id) if span.parent_id else "-"
             labels = " ".join(f"{k}={v}" for k, v in span.labels)
             name = f"{span.name} {labels}".rstrip()
@@ -154,9 +183,9 @@ class SpanRecorder:
 
 @dataclass
 class _SpanContext:
-    recorder: SpanRecorder
+    recorder: TraceRecorder
     name: str
-    labels: dict
+    labels: dict[str, object]
     finished: Span | None = field(default=None)
     _active: _ActiveSpan | None = field(default=None)
 

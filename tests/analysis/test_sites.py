@@ -11,7 +11,7 @@ from repro.arch import Assembler, Reg
 from repro.arch.binary import SitePattern
 from repro.core import CountingServices, XContainer
 from repro.core.vsyscall import dynamic_slot_addr, slot_addr
-from repro.perf.trace import Tracer
+from repro.obs import TraceRecorder
 
 
 def discover(binary):
@@ -194,7 +194,7 @@ def test_static_discovery_equals_interpreter_traps(specs, junk):
 
     # ABOM off: every execution of every site traps to the X-Kernel.
     xc = XContainer(CountingServices(), abom_enabled=False)
-    tracer = Tracer(xc.clock, capacity=65536)
+    tracer = TraceRecorder(xc.clock, capacity=65536)
     xc.attach_tracer(tracer)
     xc.run(binary)
     trapped = {

@@ -40,6 +40,11 @@ class TestXContainer:
         xc.run(asm.build())
         assert clock.now_ns > 0
 
+    def test_disabled_telemetry_raises(self):
+        xc = XContainer(CountingServices(), telemetry=False)
+        with pytest.raises(RuntimeError, match="telemetry disabled"):
+            xc.telemetry()
+
 
 class TestDockerWrapper:
     def test_spawn_timing_matches_section_4_5(self):

@@ -8,7 +8,7 @@ byte-identical for the same seed + plan.
 
 import pytest
 
-from repro.faults import scenarios, sites
+from repro.faults import get_scenario, list_scenarios, scenario_names, sites
 from repro.faults.chaos import (
     ChaosHarness,
     InvariantViolation,
@@ -106,7 +106,7 @@ class TestCatalog:
     def test_declared_substrates_are_injected(self):
         report = run_scenarios(42)
         by_name = {r.name: r for r in report.results}
-        for scenario in scenarios.SCENARIOS.values():
+        for scenario in list_scenarios():
             result = by_name[scenario.name]
             missing = set(scenario.substrates) - set(
                 result.injected_substrates
@@ -123,7 +123,7 @@ class TestCatalog:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):
-            scenarios.get("no-such-scenario")
+            get_scenario("no-such-scenario")
 
     def test_single_scenario_selection(self):
         report = run_scenarios(3, names=["nginx-packet-loss"])
@@ -136,7 +136,7 @@ class TestRender:
         text = run_scenarios(42).render()
         assert "ALL RECOVERED" in text
         assert "core substrate coverage: complete" in text
-        for name in scenarios.names():
+        for name in scenario_names():
             assert name in text
 
     def test_render_flags_failures(self):

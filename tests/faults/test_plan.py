@@ -157,9 +157,9 @@ class TestEngine:
 
     def test_fault_events_reach_tracer(self):
         clock = SimClock()
-        from repro.perf.trace import Tracer
+        from repro.obs import TraceRecorder
 
-        tracer = Tracer(clock)
+        tracer = TraceRecorder(clock)
         engine = plan(
             FaultSpec(sites.EVENT_NOTIFY, "drop", Nth(1))
         ).compile(clock, tracer=tracer)

@@ -1,11 +1,8 @@
-"""The decorator-based scenario registry and the deprecation shims.
+"""The decorator-based scenario registry.
 
-ISSUE 10's API-redesign contract: registry is the canonical surface,
-old call sites keep working through warning-emitting shims with zero
-behavior change, and unknown-name errors list the catalog sorted.
+The registry is the canonical scenario surface: registration order is
+the catalog order, and unknown-name errors list the catalog sorted.
 """
-
-import warnings
 
 import pytest
 
@@ -94,47 +91,6 @@ class TestRegistry:
             assert registry.get_scenario("temp-decorated") is body
         finally:
             registry.unregister("temp-decorated")
-
-
-class TestDeprecationShims:
-    """scenarios.SCENARIOS / .get / .names keep working, warning once."""
-
-    def test_names_shim_warns_and_matches_registry(self):
-        from repro.faults import scenarios
-
-        with pytest.warns(DeprecationWarning, match="names"):
-            assert scenarios.names() == registry.scenario_names()
-
-    def test_get_shim_warns_and_delegates(self):
-        from repro.faults import scenarios
-
-        with pytest.warns(DeprecationWarning, match="get"):
-            assert (
-                scenarios.get("wake-drop-fleet")
-                is registry.get_scenario("wake-drop-fleet")
-            )
-
-    def test_get_shim_keeps_keyerror_contract(self):
-        from repro.faults import scenarios
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(KeyError, match="unknown scenario"):
-                scenarios.get("nonesuch")
-
-    def test_scenarios_mapping_shim(self):
-        from repro.faults import scenarios
-
-        with pytest.warns(DeprecationWarning):
-            assert (
-                scenarios.SCENARIOS["nginx-packet-loss"].name
-                == "nginx-packet-loss"
-            )
-        with pytest.warns(DeprecationWarning):
-            assert list(scenarios.SCENARIOS) == registry.scenario_names()
-        with pytest.warns(DeprecationWarning):
-            assert "event-storm-blkdev" in scenarios.SCENARIOS
-        assert len(scenarios.SCENARIOS) == len(registry.scenario_names())
 
     def test_package_exports_the_registry_surface(self):
         import repro.faults as faults

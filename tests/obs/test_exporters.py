@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.obs import (
     Registry,
-    SpanRecorder,
+    TraceRecorder,
     chrome_trace_json,
     prometheus_text,
     render_table,
@@ -59,7 +59,7 @@ class TestPrometheusText:
 class TestChromeTrace:
     def test_events_are_complete_phase_in_us(self):
         clock = SimClock()
-        spans = SpanRecorder(clock)
+        spans = TraceRecorder(clock)
         with spans.span("tx", port=3):
             clock.advance(2000.0)
         payload = json.loads(chrome_trace_json(spans))

@@ -1,24 +1,23 @@
-"""Span recording: nesting, determinism, bounds, Tracer integration."""
+"""Span recording: nesting, determinism, bounds, the shared store."""
 
 import pytest
 
-from repro.obs.tracing import SpanRecorder
+from repro.obs.tracing import TraceRecorder
 from repro.perf.clock import SimClock
-from repro.perf.trace import Tracer
 
 
 class TestSpans:
     def test_span_measures_simulated_time(self):
         clock = SimClock()
-        recorder = SpanRecorder(clock)
+        recorder = TraceRecorder(clock)
         with recorder.span("work") as ctx:
             clock.advance(250.0)
         assert ctx.finished.duration_ns == 250.0
-        assert recorder.total_ns("work") == 250.0
+        assert recorder.spans("work") == [ctx.finished]
 
     def test_nested_spans_get_parent_ids(self):
         clock = SimClock()
-        recorder = SpanRecorder(clock)
+        recorder = TraceRecorder(clock)
         with recorder.span("outer"):
             clock.advance(10)
             with recorder.span("inner"):
@@ -26,32 +25,31 @@ class TestSpans:
         inner, outer = recorder.spans("inner")[0], recorder.spans("outer")[0]
         assert outer.parent_id is None
         assert inner.parent_id == outer.span_id
-        assert recorder.children_of(outer) == [inner]
 
     def test_ids_are_sequential_and_deterministic(self):
         clock = SimClock()
-        recorder = SpanRecorder(clock)
+        recorder = TraceRecorder(clock)
         for _ in range(3):
             with recorder.span("s"):
                 pass
-        assert [s.span_id for s in recorder.finished] == [1, 2, 3]
+        assert [s.span_id for s in recorder.spans()] == [1, 2, 3]
 
     def test_out_of_order_end_raises(self):
-        recorder = SpanRecorder(SimClock())
+        recorder = TraceRecorder(SimClock())
         a = recorder.begin("a")
         recorder.begin("b")
         with pytest.raises(RuntimeError):
             recorder.end(a)
 
     def test_labels_are_sorted_and_stringified(self):
-        recorder = SpanRecorder(SimClock())
+        recorder = TraceRecorder(SimClock())
         with recorder.span("s", b=2, a=1) as ctx:
             pass
         assert ctx.finished.labels == (("a", "1"), ("b", "2"))
 
     def test_spans_never_advance_the_clock(self):
         clock = SimClock()
-        recorder = SpanRecorder(clock)
+        recorder = TraceRecorder(clock)
         with recorder.span("s"):
             pass
         assert clock.now_ns == 0.0
@@ -59,41 +57,54 @@ class TestSpans:
 
 class TestBounds:
     def test_capacity_drops_oldest(self):
-        recorder = SpanRecorder(SimClock(), capacity=2)
-        for name in ("a", "b", "c"):
-            with recorder.span(name):
-                pass
-        assert [s.name for s in recorder.finished] == ["b", "c"]
+        recorder = TraceRecorder(SimClock(), capacity=2)
+        with pytest.warns(RuntimeWarning, match="ring overflowed"):
+            for name in ("a", "b", "c"):
+                with recorder.span(name):
+                    pass
+        assert [s.name for s in recorder.spans()] == ["b", "c"]
         assert recorder.dropped == 1
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
-            SpanRecorder(SimClock(), capacity=0)
+            TraceRecorder(SimClock(), capacity=0)
 
     def test_clear_resets(self):
-        recorder = SpanRecorder(SimClock(), capacity=1)
-        for name in ("a", "b"):
-            with recorder.span(name):
-                pass
+        recorder = TraceRecorder(SimClock(), capacity=1)
+        with pytest.warns(RuntimeWarning, match="ring overflowed"):
+            for name in ("a", "b"):
+                with recorder.span(name):
+                    pass
         recorder.clear()
-        assert recorder.finished == [] and recorder.dropped == 0
+        assert recorder.spans() == [] and recorder.dropped == 0
 
 
 class TestTracerIntegration:
-    def test_begin_end_emitted_into_flat_tracer(self):
+    """Instant events share the span store, its capacity and its drops."""
+
+    def test_spans_and_events_share_one_capacity(self):
         clock = SimClock()
-        tracer = Tracer(clock)
-        recorder = SpanRecorder(clock, tracer=tracer)
-        with recorder.span("netfront.tx"):
-            clock.advance(100)
-        names = [e.name for e in tracer.events("span")]
-        assert names == ["netfront.tx.begin", "netfront.tx.end"]
-        end = tracer.events("span", "netfront.tx.end")[0]
-        assert end.detail["dur_ns"] == 100.0
+        recorder = TraceRecorder(clock, capacity=2)
+        recorder.emit("abom", "patch", site=0x400005)
+        with recorder.span("s"):
+            clock.advance(10)
+        with pytest.warns(RuntimeWarning, match="ring overflowed"):
+            recorder.emit("abom", "patch", site=0x400010)
+        assert recorder.dropped == 1
+        assert [s.name for s in recorder.spans()] == ["s"]
+        assert [e.detail["site"] for e in recorder.events()] == [0x400010]
+
+    def test_render_shows_spans_only(self):
+        recorder = TraceRecorder(SimClock())
+        recorder.emit("syscall", "lightweight", nr=39)
+        with recorder.span("s"):
+            pass
+        assert "lightweight" not in recorder.render()
+        assert recorder.render().splitlines()[-1].endswith("  s")
 
     def test_render_is_fixed_width(self):
         clock = SimClock()
-        recorder = SpanRecorder(clock)
+        recorder = TraceRecorder(clock)
         with recorder.span("s", k="v"):
             clock.advance(1500)
         out = recorder.render()

@@ -1,15 +1,18 @@
+"""Instant events on the trace recorder, and the emitters that
+``XContainer.attach_tracer`` points at it."""
+
 import pytest
 
 from repro.arch import Assembler, Reg
 from repro.core import CountingServices, XContainer
+from repro.obs import TraceRecorder
 from repro.perf.clock import SimClock
-from repro.perf.trace import TraceEvent, Tracer
 
 
 class TestTracer:
     def test_emit_records_timestamp(self):
         clock = SimClock()
-        tracer = Tracer(clock)
+        tracer = TraceRecorder(clock)
         clock.advance(100.0)
         tracer.emit("cat", "event", x=1)
         (event,) = tracer.events()
@@ -17,16 +20,16 @@ class TestTracer:
         assert event.detail == {"x": 1}
 
     def test_filtering(self):
-        tracer = Tracer(SimClock())
+        tracer = TraceRecorder(SimClock())
         tracer.emit("a", "one")
         tracer.emit("b", "two")
         tracer.emit("a", "two")
-        assert tracer.count("a") == 2
+        assert len(tracer.events("a")) == 2
         assert len(tracer.events(name="two")) == 2
         assert len(tracer.events(category="a", name="two")) == 1
 
     def test_ring_buffer_drops_oldest_and_warns_once(self):
-        tracer = Tracer(SimClock(), capacity=2)
+        tracer = TraceRecorder(SimClock(), capacity=2)
         tracer.emit("c", "e0")
         tracer.emit("c", "e1")
         with pytest.warns(RuntimeWarning, match="ring overflowed"):
@@ -41,7 +44,7 @@ class TestTracer:
         assert [e.name for e in tracer.events()] == ["e2", "e3"]
 
     def test_clear_rearms_the_overflow_warning(self):
-        tracer = Tracer(SimClock(), capacity=1)
+        tracer = TraceRecorder(SimClock(), capacity=1)
         tracer.emit("c", "e0")
         with pytest.warns(RuntimeWarning):
             tracer.emit("c", "e1")
@@ -49,79 +52,22 @@ class TestTracer:
         tracer.emit("c", "e0")
         with pytest.warns(RuntimeWarning):
             tracer.emit("c", "e1")
-
-    def test_raising_capacity_rearms_the_overflow_warning(self):
-        """Regression: growing the ring used to leave the warn-once flag
-        set, so the next overflow episode dropped events silently."""
-        tracer = Tracer(SimClock(), capacity=2)
-        tracer.emit("c", "e0")
-        tracer.emit("c", "e1")
-        with pytest.warns(RuntimeWarning, match="ring overflowed"):
-            tracer.emit("c", "e2")
-        tracer.capacity = 3
-        assert tracer.capacity == 3
-        # Existing events survive the rebuild ...
-        assert [e.name for e in tracer.events()] == ["e1", "e2"]
-        tracer.emit("c", "e3")
-        # ... and the next overflow warns again.
-        with pytest.warns(RuntimeWarning, match="ring overflowed"):
-            tracer.emit("c", "e4")
-
-    def test_shrinking_capacity_keeps_newest_without_rearming(self):
-        import warnings
-
-        tracer = Tracer(SimClock(), capacity=3)
-        for index in range(4):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                tracer.emit("c", f"e{index}")
-        tracer.capacity = 2
-        assert [e.name for e in tracer.events()] == ["e2", "e3"]
-        # Shrinking adds no headroom: the episode is still in progress,
-        # so the warning stays disarmed.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tracer.emit("c", "e4")
-
-    def test_capacity_setter_rejects_bad_values(self):
-        tracer = Tracer(SimClock())
-        with pytest.raises(ValueError):
-            tracer.capacity = 0
-
-    def test_disabled_tracer_is_silent(self):
-        tracer = Tracer(SimClock())
-        tracer.enabled = False
-        tracer.emit("c", "e")
-        assert tracer.count() == 0
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
-            Tracer(SimClock(), capacity=0)
-
-    def test_render_hexifies_addresses(self):
-        event = TraceEvent(1000.0, "abom", "patch", {"site": 0x400005})
-        assert "0x400005" in event.render()
-
-    def test_span(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        tracer.emit("c", "start")
-        clock.advance(500.0)
-        tracer.emit("c", "end")
-        assert tracer.span_ns("c") == 500.0
-        assert tracer.span_ns("other") == 0.0
+            TraceRecorder(SimClock(), capacity=0)
 
     def test_clear(self):
-        tracer = Tracer(SimClock())
+        tracer = TraceRecorder(SimClock())
         tracer.emit("c", "e")
         tracer.clear()
-        assert tracer.count() == 0
+        assert tracer.events() == []
 
 
 class TestContainerTracing:
     def test_syscall_lifecycle_visible(self):
         xc = XContainer(CountingServices())
-        tracer = Tracer(xc.clock)
+        tracer = TraceRecorder(xc.clock)
         xc.attach_tracer(tracer)
         asm = Assembler()
         asm.mov_imm32(Reg.RBX, 5)
@@ -148,7 +94,7 @@ class TestContainerTracing:
             (FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(1)),), 0
         ).compile()
         xc = XContainer(CountingServices(), faults=engine)
-        tracer = Tracer(xc.clock)
+        tracer = TraceRecorder(xc.clock)
         xc.attach_tracer(tracer)
         asm = Assembler()
         asm.mov_imm32(Reg.RBX, 3)
@@ -164,9 +110,24 @@ class TestContainerTracing:
         (injected,) = tracer.events("fault", "injected")
         assert injected.detail["site"] == sites.ABOM_CMPXCHG
 
+    def test_telemetry_recorder_holds_spans_and_events(self):
+        """One recorder: pointing the emitters at the telemetry recorder
+        puts their instant events next to its spans."""
+        xc = XContainer(CountingServices())
+        tel = xc.telemetry()
+        xc.attach_tracer(tel.spans)
+        asm = Assembler()
+        asm.syscall_site(39)
+        asm.hlt()
+        with tel.span("run"):
+            xc.run(asm.build())
+        assert len(tel.spans.events("syscall", "forwarded")) == 1
+        assert [s.name for s in tel.spans.spans()] == ["run"]
+        assert tel.snapshot()["spans"]["finished"] == 1
+
     def test_unrecognized_sites_traced(self):
         xc = XContainer(CountingServices())
-        tracer = Tracer(xc.clock)
+        tracer = TraceRecorder(xc.clock)
         xc.attach_tracer(tracer)
         asm = Assembler()
         asm.syscall_site(39, style="cancellable")

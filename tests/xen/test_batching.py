@@ -352,13 +352,85 @@ class TestXContainerIoStats:
         blk = SplitBlockDriver(BlockStore(64))
         blk.write(0, b"s" * 512)
         xc.attach_io_driver("xvda", blk)
-        stats = xc.io_stats()
-        assert stats["eth0"]["batches"] == 1
-        assert stats["eth0"]["kicks_saved"] == 1
-        assert stats["xvda"]["batches"] == 1
-        assert set(stats) == {"eth0", "xvda"}
+        tel = xc.telemetry()
+        assert tel.value("xen_ring_batches_total", driver="eth0") == 1
+        assert tel.value("xen_ring_kicks_saved_total", driver="eth0") == 1
+        assert tel.value("xen_ring_batches_total", driver="xvda") == 1
+        assert {
+            dict(sample.labels)["driver"]
+            for sample in tel.registry.collect()
+            if sample.name == "xen_ring_batches_total"
+        } == {"eth0", "xvda"}
         # Lives alongside the decode-cache counters.
-        assert "hits" in xc.icache_stats()
+        assert tel.value("arch_icache_hits_total") == 0
+
+    def test_driver_attached_after_telemetry_is_wired(self):
+        from repro.core.xcontainer import XContainer
+        from repro.core.xlibos import CountingServices
+
+        xc = XContainer(CountingServices())
+        tel = xc.telemetry()  # built before any driver exists
+        net, _ = make_net_driver()
+        net.transmit_batch([10, 20])
+        xc.attach_io_driver("late0", net)
+        assert tel.value("xen_ring_batches_total", driver="late0") == 1
+
+    def test_ring_metrics_mirror_driver_stats(self):
+        """Each ring table covers every stats field of its driver."""
+        from repro.core.xcontainer import XContainer
+        from repro.core.xlibos import CountingServices
+        from repro.obs import wire
+
+        xc = XContainer(CountingServices())
+        net, _ = make_net_driver()
+        net.transmit_batch([100, 200, 300])
+        net.transmit(50)
+        xc.attach_io_driver("eth0", net)
+        blk = SplitBlockDriver(BlockStore(64))
+        blk.write(0, b"s" * 512)
+        blk.read(0)
+        xc.attach_io_driver("xvda", blk)
+        tel = xc.telemetry()
+        for name, driver, fields in (
+            ("eth0", net, wire.NET_RING_FIELDS),
+            ("xvda", blk, wire.BLK_RING_FIELDS),
+        ):
+            stats = driver.stats.as_dict()
+            assert set(fields) == set(stats)
+            for field, metric in fields.items():
+                assert tel.value(metric, driver=name) == stats[field]
+
+    def test_one_snapshot_reports_every_surface(self):
+        """The acceptance query: one structure, all the counters."""
+        from repro.core.xcontainer import XContainer
+        from repro.core.xlibos import CountingServices
+        from repro.faults.plan import FaultPlan, FaultSpec, Nth
+        from repro.workloads.unixbench import build_syscall_bench
+
+        engine = FaultPlan(
+            (FaultSpec(sites.NET_BACKEND, "kill", Nth(1)),), seed=3
+        ).compile()
+        xc = XContainer(CountingServices(), faults=engine)
+        xc.run(build_syscall_bench(5))
+        net, _ = make_net_driver()
+        net.faults = engine
+        net.transmit(100)
+        xc.attach_io_driver("eth0", net)
+        tel = xc.telemetry()
+        tel.histogram("net_http_request_latency_ns").observe(500.0)
+        snap = tel.snapshot()
+        counters = snap["counters"]
+
+        def have(prefix):
+            return any(key.startswith(prefix) for key in counters)
+
+        assert have("arch_icache_hits_total")
+        assert have("core_xkernel_syscalls_trapped_total")
+        assert have("xen_ring_batches_total")
+        assert have("faults_injected_total")
+        assert "net_http_request_latency_ns{domain=xc0}" in (
+            snap["histograms"]
+        )
 
     def test_duplicate_name_rejected(self):
         from repro.core.xcontainer import XContainer
