@@ -46,6 +46,7 @@ from repro.arch.encoding import (
 from repro.arch.memory import PAGE_SHIFT, PAGE_SIZE, PagedMemory, PageFault
 from repro.arch.registers import Reg, RegisterFile, to_signed64
 from repro.arch.tracecache import TraceCache, TraceStats
+from repro.perf.clock import SimClock
 
 MASK64 = (1 << 64) - 1
 MAX_INSTR_LEN = 15
@@ -359,14 +360,14 @@ class CPU:
     def __init__(
         self,
         memory: PagedMemory,
-        clock=None,
+        clock: SimClock | None = None,
         instruction_ns: float = 0.0,
         icache: bool = True,
         tracecache: bool = True,
     ) -> None:
         self.mem = memory
         self.regs = RegisterFile()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.instruction_ns = instruction_ns
         self.trap_handler: Optional[TrapHandler] = None
         self.native_stubs: dict[int, NativeStub] = {}
@@ -617,7 +618,7 @@ class CPU:
 
     def _charge(self) -> None:
         self.instructions_retired += 1
-        if self.clock is not None and self.instruction_ns:
+        if self.instruction_ns:
             self.clock.advance(self.instruction_ns)
 
     def _deliver(self, trap: Trap) -> None:

@@ -550,7 +550,7 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
             flags.update(_JCC_USES[step[2]])
         if kind in ("call", "call_ind", "stub_call", "ret_guard", "ret_exit"):
             has_mem = True
-    charge = cpu.clock is not None and bool(cpu.instruction_ns)
+    charge = bool(cpu.instruction_ns)
     ns = repr(float(cpu.instruction_ns))
     regs = sorted(tracked)
     flag_list = [f for f in ("zf", "sf", "cf") if f in flags]

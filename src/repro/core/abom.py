@@ -97,7 +97,7 @@ class ABOM:
     ) -> None:
         self.memory = memory
         self.costs = costs or CostModel()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.enabled = enabled
         #: Optional :class:`repro.faults.plan.FaultEngine`: ``contend``
         #: faults at :data:`repro.faults.sites.ABOM_CMPXCHG` make the CAS
@@ -138,7 +138,7 @@ class ABOM:
         )
         if matched:
             self.stats.patched_sites.add(syscall_addr)
-            self._charge(self.costs.abom_patch_ns)
+            self.clock.advance(self.costs.abom_patch_ns)
             if self.tracer is not None:
                 self.tracer.emit("abom", "patch", site=syscall_addr)
             if self.faults is not None and (
@@ -284,8 +284,4 @@ class ABOM:
             )
         cpu.regs.rip = fault_rip - 5
         self.stats.ud_fixups += 1
-        self._charge(self.costs.ud_fixup_ns)
-
-    def _charge(self, ns: float) -> None:
-        if self.clock is not None:
-            self.clock.advance(ns)
+        self.clock.advance(self.costs.ud_fixup_ns)

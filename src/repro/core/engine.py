@@ -67,9 +67,8 @@ MAX_REDELIVERIES = 16
 #: Mailbox-ring capacity mirrored into the protocol checker.
 WAKE_RING_SIZE = 4096
 
-#: x86 ``hlt`` — one byte; hardware resumes at the *next* instruction
-#: when an interrupt (here: a wake event) arrives.
-HLT_OPCODE = 0xF4
+#: Instruction budget of one wake burst (a runaway guest fails loudly).
+BURST_BUDGET = 1_000_000
 
 
 def build_worker(spin: int = DEFAULT_SPIN) -> Binary:
@@ -201,7 +200,6 @@ class ExecutionEngine:
         faults=None,
         sanitizer=None,
         spin: int = DEFAULT_SPIN,
-        burst_budget: int = 1_000_000,
     ) -> None:
         if tick_ns <= 0 or tick_ns != int(tick_ns):
             raise ValueError(f"tick_ns must be a positive integer: {tick_ns}")
@@ -214,7 +212,6 @@ class ExecutionEngine:
         self.faults = faults
         #: Optional :class:`repro.sanitize.suite.SanitizerSuite`.
         self.sanitizer = sanitizer
-        self.burst_budget = burst_budget
         self.stats = EngineStats()
         self._now = 0.0
         self._worker = build_worker(spin)
@@ -477,7 +474,7 @@ class ExecutionEngine:
             self.stats.spurious_wakes += 1
         dom.container.memory.write_u64(dom.mailbox_addr, units)
         self._wake(dom, t)
-        retired = dom.cpu.run(self.burst_budget)
+        retired = dom.cpu.run(BURST_BUDGET)
         self.stats.instructions += retired
         self.stats.bursts += 1
         if self.sanitizer is not None and posts:

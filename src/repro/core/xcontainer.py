@@ -36,7 +36,12 @@ class RunResult:
 
 
 class XContainer:
-    """One container: address space + X-LibOS + vCPU over the X-Kernel."""
+    """One container: address space + X-LibOS + vCPU over the X-Kernel.
+
+    The X-Kernel, ABOM, X-LibOS and every vCPU charge one clock: the
+    ``clock`` passed in, or a fresh :class:`SimClock`.  :meth:`telemetry`
+    is always available; it is built on first call.
+    """
 
     def __init__(
         self,
@@ -50,7 +55,6 @@ class XContainer:
         icache: bool = True,
         tracecache: bool = True,
         faults=None,
-        telemetry: bool = True,
         sanitizers=None,
     ) -> None:
         self.name = name
@@ -86,7 +90,6 @@ class XContainer:
         self._io_drivers: dict[str, object] = {}
         #: Lazily-built :class:`repro.obs.Telemetry` (see :meth:`telemetry`).
         self._telemetry = None
-        self._telemetry_enabled = telemetry
         #: Optional :class:`repro.sanitize.suite.SanitizerSuite`.
         self.sanitizers = None
         if sanitizers is not None:
@@ -322,11 +325,6 @@ class XContainer:
         bindings read the substrate structs at collection time, so
         enabling telemetry never changes simulated bytes or costs.
         """
-        if not self._telemetry_enabled:
-            raise RuntimeError(
-                f"telemetry disabled for container {self.name!r} "
-                f"(constructed with telemetry=False)"
-            )
         if self._telemetry is None:
             from repro.obs import wire
             from repro.obs.facade import Telemetry

@@ -58,25 +58,20 @@ class XKernel:
         costs: CostModel | None = None,
         clock: SimClock | None = None,
         abom_enabled: bool = True,
-        meltdown_patched: bool = True,
         faults=None,
     ) -> None:
         self.memory = memory
         self.costs = costs or CostModel()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         #: Optional :class:`repro.faults.plan.FaultEngine`, shared with ABOM.
         self.faults = faults
         self.abom = ABOM(
-            memory, self.costs, clock, enabled=abom_enabled, faults=faults
+            memory, self.costs, self.clock, enabled=abom_enabled,
+            faults=faults,
         )
         self.stats = XKernelStats()
         #: Optional :class:`repro.obs.TraceRecorder` (instant events).
         self.tracer = None
-        #: The XPTI patch is ported to the X-Kernel (§5.1) but does not
-        #: affect the syscall path — syscalls never cross into the
-        #: hypervisor's protected mappings (§5.4: "the Meltdown patch does
-        #: not affect performance of X-Containers").
-        self.meltdown_patched = meltdown_patched
 
     # ------------------------------------------------------------------
     # CPU attachment
@@ -114,7 +109,7 @@ class XKernel:
                 nr=cpu.regs.rax & 0xFFFFFFFF,
             )
         self.abom.try_patch(trap.rip)
-        self._charge(self.costs.xc_forwarded_syscall_ns)
+        self.clock.advance(self.costs.xc_forwarded_syscall_ns)
         libos.forwarded_entry(cpu, trap.rip)
 
     def _handle_ud(self, cpu: CPU, trap: Trap) -> None:
@@ -183,13 +178,9 @@ class XKernel:
     def hypercall(self, name: str) -> None:
         """A validated hypercall (anything needing root privilege)."""
         self.stats.hypercalls[name] = self.stats.hypercalls.get(name, 0) + 1
-        self._charge(self.costs.hypercall_ns)
+        self.clock.advance(self.costs.hypercall_ns)
 
     def mmu_update(self, entries: int = 1) -> None:
         """Batched page-table update — the cost process ops cannot avoid."""
         self.stats.pt_updates += entries
-        self._charge(self.costs.pt_update_hypercall_ns * entries)
-
-    def _charge(self, ns: float) -> None:
-        if self.clock is not None:
-            self.clock.advance(ns)
+        self.clock.advance(self.costs.pt_update_hypercall_ns * entries)

@@ -84,7 +84,7 @@ class XLibOS:
         self.memory = memory
         self.services = services
         self.costs = costs or CostModel()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.stats = LibOsStats()
         self.vsyscall = VsyscallPage(memory)
         self.vsyscall.install()
@@ -104,7 +104,7 @@ class XLibOS:
         On entry the return address pushed by the patched ``call`` is on
         top of the stack.
         """
-        self._charge(self.costs.xc_func_call_syscall_ns)
+        self.clock.advance(self.costs.xc_func_call_syscall_ns)
         if self.tracer is not None:
             self.tracer.emit("syscall", "lightweight", nr=nr)
         ret_addr = cpu.mem.read_u64(cpu.regs.rsp)
@@ -158,7 +158,7 @@ class XLibOS:
             cpu.regs.rax = frame["rax"]
         self.stats.user_mode_irets += 1
         # ~8 register pushes/pops and a ret instead of a hypercall.
-        self._charge(10 * self.costs.instruction_ns)
+        self.clock.advance(10 * self.costs.instruction_ns)
 
     def deliver_pending_events(self, pending: list) -> int:
         """Emulate the interrupt stack frame and run handlers directly.
@@ -171,7 +171,3 @@ class XLibOS:
             handler()
             self.stats.events_delivered += 1
         return len(pending)
-
-    def _charge(self, ns: float) -> None:
-        if self.clock is not None:
-            self.clock.advance(ns)

@@ -14,7 +14,7 @@ id          paper artifact
 ==========  =====================================================
 
 Use :func:`repro.experiments.runner.run_experiment` or
-``python -m repro.experiments.runner <id>``.
+``repro experiments <id>`` (``all`` runs every id).
 """
 
 from repro.experiments.report import ExperimentResult, Row

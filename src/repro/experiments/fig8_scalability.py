@@ -30,6 +30,7 @@ from repro.platforms.x_container import XContainerPlatform
 from repro.platforms.xen_container import XenContainerPlatform
 from repro.workloads.base import ServerModel
 from repro.workloads.profiles import NGINX_PHP_FPM
+from repro.xen.scheduler import CREDIT_QUANTUM_NS
 
 SITE = LOCAL_CLUSTER
 CORES = SITE.machine.threads  # 32 hardware threads
@@ -114,7 +115,7 @@ def xcontainer_throughput(n: int, costs) -> float:
     # The X-Kernel's credit scheduler uses 30 ms quanta: overhead per
     # pCPU-second is flat in N.
     if n > CORES:
-        quanta_per_s = 1e9 / 30e6
+        quanta_per_s = 1e9 / CREDIT_QUANTUM_NS
         efficiency = 1.0 - quanta_per_s * costs.vcpu_switch_ns / 1e9
     else:
         efficiency = 1.0

@@ -53,32 +53,3 @@ def run_experiment(experiment_id: str) -> list[ExperimentResult]:
             f"known: {', '.join(experiment_ids())}"
         )
     return _as_list(runner())
-
-
-def run_all() -> dict[str, list[ExperimentResult]]:
-    return {eid: run_experiment(eid) for eid in experiment_ids()}
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's tables and figures."
-    )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default="all",
-        help=f"one of: {', '.join(experiment_ids())}, or 'all'",
-    )
-    args = parser.parse_args(argv)
-    ids = experiment_ids() if args.experiment == "all" else [args.experiment]
-    for eid in ids:
-        for result in run_experiment(eid):
-            print(result.format_table())
-            print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

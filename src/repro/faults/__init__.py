@@ -12,9 +12,8 @@ repository *tests* that claim instead of asserting it.  It provides:
   frontends adopt so injected faults are survivable;
 * :mod:`~repro.faults.chaos` / :mod:`~repro.faults.scenarios` — named
   failure scenarios with recovery invariants;
-* :mod:`~repro.faults.registry` — the decorator-based scenario registry
-  (:func:`~repro.faults.registry.scenario`,
-  :func:`~repro.faults.registry.register`,
+* :mod:`~repro.faults.registry` — the scenario registry
+  (:func:`~repro.faults.registry.register`,
   :func:`~repro.faults.registry.get_scenario`) that replaced the old
   module-level ``SCENARIOS`` dict;
 * :mod:`~repro.faults.report` — the ``repro chaos`` run report.
@@ -38,7 +37,6 @@ from repro.faults.registry import (
     get_scenario,
     list_scenarios,
     register,
-    scenario,
     scenario_names,
 )
 from repro.faults.retry import RetryExhausted, RetryPolicy
@@ -58,6 +56,5 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "register",
-    "scenario",
     "scenario_names",
 ]

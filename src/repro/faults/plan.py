@@ -230,7 +230,7 @@ class FaultEngine:
         tracer: Any = None,
     ) -> None:
         self.plan = plan
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         #: Optional :class:`repro.obs.TraceRecorder`; events carry the
         #: ``fault`` category with names injected/retried/recovered/fatal.
         self.tracer = tracer
@@ -295,7 +295,7 @@ class FaultEngine:
     # ------------------------------------------------------------------
     @property
     def now_ns(self) -> float:
-        return self.clock.now_ns if self.clock is not None else 0.0
+        return self.clock.now_ns
 
     def _counters(self, site: str) -> SiteCounters:
         counters = self._state.counters.get(site)

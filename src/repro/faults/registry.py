@@ -1,24 +1,23 @@
-"""The decorator-based scenario registry (the canonical Scenario API).
+"""The scenario registry (the canonical Scenario API).
 
 PR 3 shipped the chaos catalog as a hand-maintained ``SCENARIOS`` dict in
 :mod:`repro.faults.scenarios`; every new scenario meant editing a
 module-level literal, and nothing stopped a body from registering under
 one name and rendering under another.  This module replaces that with a
-decorator registry:
+registry:
 
-* :func:`scenario` — declare a scenario by decorating its body::
+* :func:`register` — register a built :class:`Scenario`, whether a
+  hand-written catalog entry::
 
-      @scenario(
+      register(Scenario(
           name="backend-death-memcached",
           description="netback dies under load ...",
           substrates=("xen.drivers",),
-          plan=_plan_backend_death,
-      )
-      def _run_backend_death(ctx: ScenarioContext) -> dict:
-          ...
+          default_plan=_plan_backend_death,
+          body=_run_backend_death,
+      ))
 
-* :func:`register` — register an already-built :class:`Scenario`
-  (what :meth:`Scenario.from_steps` promotions use);
+  or a :meth:`Scenario.from_steps` promotion;
 * :func:`get_scenario` / :func:`list_scenarios` /
   :func:`scenario_names` — the lookup surface.
 
@@ -35,10 +34,7 @@ replacement here.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-from repro.faults.chaos import Scenario, ScenarioContext
-from repro.faults.plan import FaultPlan
+from repro.faults.chaos import Scenario
 
 #: Registration-ordered catalog (insertion order is the report order).
 _REGISTRY: dict[str, Scenario] = {}
@@ -55,7 +51,7 @@ def _ensure_catalog() -> None:
     import repro.faults.scenarios  # noqa: F401  (import-for-effect)
 
 
-def register(scenario: Scenario, replace: bool = False) -> Scenario:
+def register(scenario: Scenario) -> Scenario:
     """Register a built :class:`Scenario`; returns it for chaining.
 
     Promoted shrunk fuzz failures (:meth:`Scenario.from_steps`) enter the
@@ -63,7 +59,7 @@ def register(scenario: Scenario, replace: bool = False) -> Scenario:
     ``repro chaos``, the sanitize harness, and the CI recovery gate like
     any hand-written scenario.
     """
-    if scenario.name in _REGISTRY and not replace:
+    if scenario.name in _REGISTRY:
         raise ValueError(f"scenario {scenario.name!r} already registered")
     _REGISTRY[scenario.name] = scenario
     return scenario
@@ -72,35 +68,6 @@ def register(scenario: Scenario, replace: bool = False) -> Scenario:
 def unregister(name: str) -> None:
     """Remove a scenario (test isolation helper)."""
     _REGISTRY.pop(name, None)
-
-
-def scenario(
-    *,
-    name: str,
-    description: str,
-    substrates: Iterable[str] = (),
-    plan: Callable[[int | str], FaultPlan],
-    replace: bool = False,
-) -> Callable[[Callable[[ScenarioContext], dict]], Scenario]:
-    """Decorator: declare the decorated body as a catalog scenario.
-
-    The decorated function is replaced by the registered
-    :class:`Scenario` (the body stays reachable as ``scenario.body``).
-    """
-
-    def decorate(body: Callable[[ScenarioContext], dict]) -> Scenario:
-        return register(
-            Scenario(
-                name=name,
-                description=description,
-                substrates=tuple(substrates),
-                default_plan=plan,
-                body=body,
-            ),
-            replace=replace,
-        )
-
-    return decorate
 
 
 def get_scenario(name: str) -> Scenario:

@@ -72,19 +72,16 @@ class RetryPolicy:
         fn: Callable[[], T],
         retriable: tuple[type[BaseException], ...] | type[BaseException],
         *,
-        clock: SimClock | None = None,
+        clock: SimClock,
         faults: Any = None,
         site: str = "",
-        on_retry: Callable[[BaseException, int], None] | None = None,
     ) -> T:
         """Call ``fn`` until it succeeds or the attempt cap is hit.
 
-        ``on_retry(exc, failures)`` runs before each re-attempt (e.g. the
-        netfront reconnect); exceptions it raises are themselves subject
-        to the ``retriable`` filter.  On eventual success after at least
-        one failure the engine records a recovery; on exhaustion it
-        records a fatal and :class:`RetryExhausted` is raised with the
-        last failure chained.
+        Each failure charges its backoff to ``clock``.  On eventual
+        success after at least one failure the engine records a
+        recovery; on exhaustion it records a fatal and
+        :class:`RetryExhausted` is raised with the last failure chained.
         """
         failures = 0
         while True:
@@ -100,15 +97,7 @@ class RetryPolicy:
                     raise RetryExhausted(site, failures, exc) from exc
                 if faults is not None:
                     faults.record_retry(site, error=type(exc).__name__)
-                if clock is not None:
-                    clock.advance(self.backoff_ns(failures))
-                if on_retry is not None:
-                    try:
-                        on_retry(exc, failures)
-                    except retriable:
-                        # Recovery itself failed transiently; the next
-                        # loop iteration re-attempts from scratch.
-                        pass
+                clock.advance(self.backoff_ns(failures))
                 continue
             if failures and faults is not None:
                 faults.record_recovered(site, attempts=failures + 1)

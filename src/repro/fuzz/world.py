@@ -217,7 +217,7 @@ class FuzzWorld:
         # therefore every drop/delay decision) are identical — the
         # precondition for the hybrid/stepped identity oracle.
         self.fleet_faults = tuple(
-            FaultPlan((), f"{seed}:fleet").compile(SimClock())
+            FaultPlan((), f"{seed}:fleet").compile()
             for _ in range(2)
         )
         self.fleets = self._build_fleets()

@@ -184,10 +184,6 @@ class IPVS:
         return list(self._servers)
 
     @property
-    def active_servers(self) -> list[RealServer]:
-        return [s for s in self._servers if s.state is ServerState.ACTIVE]
-
-    @property
     def draining_servers(self) -> list[RealServer]:
         return [s for s in self._servers if s.state is ServerState.DRAINING]
 

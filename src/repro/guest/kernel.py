@@ -66,14 +66,13 @@ class NativeMmu:
 
     def __init__(self, costs: CostModel, clock: SimClock | None = None) -> None:
         self.costs = costs
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.updates = 0
 
     def pt_update(self, entries: int) -> float:
         self.updates += entries
         cost = entries * self.costs.fork_per_pt_page_ns
-        if self.clock is not None:
-            self.clock.advance(cost)
+        self.clock.advance(cost)
         return cost
 
 
@@ -87,7 +86,7 @@ class HypercallMmu:
         mmu_update=None,
     ) -> None:
         self.costs = costs
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         #: Optional hook into an :class:`repro.core.xkernel.XKernel` so its
         #: hypercall counters see these updates too.
         self._mmu_update = mmu_update
@@ -99,8 +98,7 @@ class HypercallMmu:
             self._mmu_update(entries)
             return entries * self.costs.pt_update_hypercall_ns
         cost = entries * self.costs.pt_update_hypercall_ns
-        if self.clock is not None:
-            self.clock.advance(cost)
+        self.clock.advance(cost)
         return cost
 
 
@@ -125,8 +123,8 @@ class GuestKernel:
     ) -> None:
         self.config = config or KernelConfig()
         self.costs = costs or CostModel()
-        self.clock = clock
-        self.mmu = mmu or NativeMmu(self.costs, clock)
+        self.clock = clock if clock is not None else SimClock()
+        self.mmu = mmu or NativeMmu(self.costs, self.clock)
         self.vfs = RamFS()
         self.modules = ModuleRegistry(allowed=self.config.modules_allowed)
         self.netfilter = Netfilter(self.costs)
@@ -154,10 +152,6 @@ class GuestKernel:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _charge(self, ns: float) -> None:
-        if self.clock is not None:
-            self.clock.advance(ns)
-
     def process(self, pid: int) -> Process:
         proc = self._procs.get(pid)
         if proc is None:
@@ -195,7 +189,7 @@ class GuestKernel:
         self.stats.forks += 1
         # The generic kernel work of fork scales with the kernel's tuning;
         # the page-table component below does not (it is mechanical).
-        self._charge(
+        self.clock.advance(
             self.costs.fork_base_ns * self.config.kernel_work_factor()
         )
         self.mmu.pt_update(parent.aspace.pt_pages)
@@ -217,7 +211,7 @@ class GuestKernel:
         """execve(2): overlay a new image (the Execl benchmark, Fig 5)."""
         proc = self.process(pid)
         self.stats.execs += 1
-        self._charge(
+        self.clock.advance(
             self.costs.exec_base_ns * self.config.kernel_work_factor()
         )
         # Tear down and rebuild the address space.
@@ -259,7 +253,7 @@ class GuestKernel:
     # ------------------------------------------------------------------
     def open(self, pid: int, path: str, flags: int = O_RDONLY) -> int:
         proc = self.process(pid)
-        self._charge(self.costs.vfs_op_ns)
+        self.clock.advance(self.costs.vfs_op_ns)
         handle = self.vfs.open(path, flags, umask=proc.umask)
         return proc.install_fd(handle)
 
@@ -272,10 +266,10 @@ class GuestKernel:
             if obj.writable:
                 raise VfsError(errno.EBADF)
             data = obj.pipe.read(count)
-            self._charge(self.costs.pipe_op_ns)
+            self.clock.advance(self.costs.pipe_op_ns)
         else:
             raise VfsError(errno.EBADF)
-        self._charge(len(data) * self.costs.copy_per_byte_ns)
+        self.clock.advance(len(data) * self.costs.copy_per_byte_ns)
         return data
 
     def write(self, pid: int, fd: int, data: bytes) -> int:
@@ -287,10 +281,10 @@ class GuestKernel:
             if not obj.writable:
                 raise VfsError(errno.EBADF)
             written = obj.pipe.write(data)
-            self._charge(self.costs.pipe_op_ns)
+            self.clock.advance(self.costs.pipe_op_ns)
         else:
             raise VfsError(errno.EBADF)
-        self._charge(written * self.costs.copy_per_byte_ns)
+        self.clock.advance(written * self.costs.copy_per_byte_ns)
         return written
 
     def close(self, pid: int, fd: int) -> None:
@@ -308,7 +302,7 @@ class GuestKernel:
 
     def pipe(self, pid: int) -> tuple[int, int]:
         proc = self.process(pid)
-        self._charge(self.costs.vfs_op_ns)
+        self.clock.advance(self.costs.vfs_op_ns)
         pipe = Pipe()
         rfd = proc.install_fd(PipeEnd(pipe, writable=False))
         wfd = proc.install_fd(PipeEnd(pipe, writable=True))
@@ -392,7 +386,7 @@ class GuestKernel:
         except VfsError as exc:
             return -exc.errno
         # Accounted no-op for anything else.
-        self._charge(self.costs.vfs_op_ns * 0.2)
+        self.clock.advance(self.costs.vfs_op_ns * 0.2)
         return 0
 
     @staticmethod

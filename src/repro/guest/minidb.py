@@ -12,8 +12,8 @@ engine supporting the statement shapes the workload needs::
     DELETE FROM kv WHERE k = 'alpha'
 
 Values are integers or single-quoted strings.  The engine is
-deterministic and dependency-free; a per-query cost is charged when a
-clock is attached.
+deterministic and dependency-free; each query charges a fixed cost to
+the engine's clock.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ class DbStats:
 class MiniDB:
     """The engine: one instance per database server process."""
 
-    #: CPU cost per executed query (charged when a clock is attached).
+    #: CPU cost per executed query.
     QUERY_COST_NS = 18000.0
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self._tables: dict[str, Table] = {}
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self.stats = DbStats()
 
     def table(self, name: str) -> Table:
@@ -108,8 +108,7 @@ class MiniDB:
         count for writes/DDL.
         """
         self.stats.queries += 1
-        if self.clock is not None:
-            self.clock.advance(self.QUERY_COST_NS)
+        self.clock.advance(self.QUERY_COST_NS)
         match = _CREATE.match(sql)
         if match:
             return self._create(match.group(1), match.group(2))

@@ -93,12 +93,6 @@ class NetStack:
         default=(None, 0.0, 0.0), repr=False, compare=False
     )
 
-    def bind_telemetry(self, registry) -> None:
-        """Expose the ``net_stack_*`` metrics on ``registry``."""
-        from repro.obs import wire
-
-        wire.wire_netstack(registry, self)
-
     def _scalars(self) -> tuple[float, float]:
         config, stack_base, wire_per_byte = self._scalar_cache
         if config is self.config:

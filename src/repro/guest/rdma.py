@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.guest.modules import ModuleRegistry
+from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
 
@@ -104,12 +105,12 @@ class SoftRdmaDevice:
         modules: ModuleRegistry,
         provider: RdmaProvider,
         costs: CostModel | None = None,
-        clock=None,
+        clock: SimClock | None = None,
     ) -> None:
         modules.load(provider.value)  # raises ModuleLoadError in Docker
         self.provider = provider
         self.costs = costs or CostModel()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         self._qps: list[QueuePair] = []
 
     def create_qp(self) -> QueuePair:
@@ -125,8 +126,7 @@ class SoftRdmaDevice:
         return tcp_like
 
     def charge_message(self, nbytes: int) -> None:
-        if self.clock is not None:
-            self.clock.advance(self.per_message_cost_ns(nbytes))
+        self.clock.advance(self.per_message_cost_ns(nbytes))
 
     def speedup_vs_sockets(self, nbytes: int, syscall_cost_ns: float) -> float:
         """How much one RDMA message saves vs a socket send of the same

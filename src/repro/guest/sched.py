@@ -15,7 +15,12 @@ import math
 from dataclasses import dataclass
 
 from repro.guest.process import Process, ProcessState
+from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
+
+#: CFS target scheduling latency: the per-task quantum before it is
+#: spread over an oversubscribed runqueue.
+CFS_QUANTUM_NS = 6e6
 
 
 @dataclass
@@ -92,12 +97,11 @@ class RunQueue:
     def switch_cost_ns(self, nr_running: int | None = None) -> float:
         return self.switch_cost(nr_running).total_ns
 
-    def context_switch(self, clock=None) -> float:
+    def context_switch(self, clock: SimClock) -> float:
         """Perform (account) one switch; returns its cost."""
         cost = self.switch_cost_ns()
         self.switches += 1
-        if clock is not None:
-            clock.advance(cost)
+        clock.advance(cost)
         return cost
 
     # ------------------------------------------------------------------
@@ -107,7 +111,6 @@ class RunQueue:
         self,
         interval_ns: float,
         cpus: int,
-        quantum_ns: float = 6e6,
         nr_running: int | None = None,
     ) -> float:
         """CPU nanoseconds actually available to processes over
@@ -123,7 +126,7 @@ class RunQueue:
         total = interval_ns * cpus
         if n <= cpus or n == 0:
             return total
-        effective_quantum = max(quantum_ns * cpus / n, 0.1e6)
+        effective_quantum = max(CFS_QUANTUM_NS * cpus / n, 0.1e6)
         switches = total / effective_quantum
         overhead = switches * self.switch_cost_ns(n)
         return max(0.0, total - overhead)

@@ -63,15 +63,11 @@ class VirtualNetwork:
         clock: SimClock | None = None,
     ) -> None:
         self.costs = costs or CostModel()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         #: (ip, port) -> (owning kernel's netstack, listening socket)
         self._listeners: dict[Address, tuple[object, Socket]] = {}
         self.connections = 0
         self.bytes_carried = 0
-
-    def _charge(self, ns: float) -> None:
-        if self.clock is not None:
-            self.clock.advance(ns)
 
     # ------------------------------------------------------------------
     # Control plane
@@ -99,7 +95,7 @@ class VirtualNetwork:
         client_sock.state = SocketState.CONNECTED
         listener.backlog.append(server_side)
         self.connections += 1
-        self._charge(
+        self.clock.advance(
             client_stack.connection_setup_cost_ns()
             + server_stack.connection_setup_cost_ns()
         )
@@ -116,7 +112,7 @@ class VirtualNetwork:
         sock.bytes_sent += len(data)
         sock.peer.bytes_received += len(data)
         self.bytes_carried += len(data)
-        self._charge(sender_stack.request_response_cost_ns(len(data), 0))
+        self.clock.advance(sender_stack.request_response_cost_ns(len(data), 0))
         return len(data)
 
     def recv(self, receiver_stack, sock: Socket, count: int) -> bytes:
@@ -129,7 +125,7 @@ class VirtualNetwork:
         # request path, where each exchange is a single segment train).
         if len(sock.rx) == 1 and len(sock.rx[0]) <= count:
             chunk = sock.rx.popleft()
-            self._charge(
+            self.clock.advance(
                 receiver_stack.request_response_cost_ns(0, len(chunk))
             )
             return chunk
@@ -141,7 +137,7 @@ class VirtualNetwork:
             if take < len(chunk):
                 sock.rx.appendleft(chunk[take:])
         if out:
-            self._charge(
+            self.clock.advance(
                 receiver_stack.request_response_cost_ns(0, len(out))
             )
         return bytes(out)
@@ -199,21 +195,6 @@ class SocketLayer:
     def connect(self, pid: int, fd: int, address: Address) -> None:
         sock = self._sock(pid, fd)
         self.network.connect(self.kernel.netstack, sock, address)
-
-    def has_data(self, pid: int, fd: int) -> bool:
-        """True when buffered bytes are waiting on ``fd`` (poll/epoll)."""
-        return bool(self._sock(pid, fd).rx)
-
-    def pending_connections(self, pid: int, fd: int) -> bool:
-        """True when ``accept`` would succeed on listener ``fd`` —
-        lets servers poll without paying an EAGAIN exception per idle
-        pass."""
-        return bool(self._sock(pid, fd).backlog)
-
-    def peer_closed(self, pid: int, fd: int) -> bool:
-        """True when the remote endpoint has closed (read would EOF)."""
-        peer = self._sock(pid, fd).peer
-        return peer is None or peer.state is SocketState.CLOSED
 
     def send(self, pid: int, fd: int, data: bytes) -> int:
         return self.network.send(

@@ -304,30 +304,6 @@ def wire_grants(registry: Registry, grants: Any) -> None:
     )
 
 
-def wire_scheduler(registry: Registry, scheduler: Any) -> None:
-    registry.bind(
-        "xen_sched_switches_total",
-        lambda: scheduler.switches,
-        help="vCPU context switches charged by the credit scheduler",
-    )
-    registry.bind(
-        "xen_sched_stall_events_total",
-        lambda: scheduler.stall_events,
-        help="injected vCPU stalls",
-    )
-    registry.bind(
-        "xen_sched_storm_events_total",
-        lambda: scheduler.storm_events,
-        help="injected interrupt storms",
-    )
-    registry.bind(
-        "xen_sched_runnable",
-        lambda: len(scheduler.runnable),
-        help="currently runnable vCPUs",
-        kind="gauge",
-    )
-
-
 def wire_exec_engine(registry: Registry, engine: Any) -> None:
     """``sched_*`` metrics of the discrete-event fleet engine.
 
@@ -463,9 +439,9 @@ def wire_sanitizers(registry: Registry, suite: Any) -> None:
         "sanitize_findings_total",
         "checker",
         lambda: {
-            "race": len(suite.race.findings) if suite.race else 0,
-            "grants": len(suite.grants.findings) if suite.grants else 0,
-            "rings": len(suite.rings.findings) if suite.rings else 0,
+            "race": len(suite.race.findings),
+            "grants": len(suite.grants.findings),
+            "rings": len(suite.rings.findings),
         },
         help="sanitizer findings by checker",
     )

@@ -102,21 +102,9 @@ class Platform(abc.ABC):
 
     def fork_cost_ns(self) -> float:
         kernel = self.make_kernel()
-        clock = SimClock()
-        kernel.clock = clock
-        kernel.mmu.clock = clock
         parent = kernel.spawn("bench")
         kernel.fork(parent.pid)
-        return clock.now_ns
-
-    def exec_cost_ns(self) -> float:
-        kernel = self.make_kernel()
-        clock = SimClock()
-        kernel.clock = clock
-        kernel.mmu.clock = clock
-        proc = kernel.spawn("bench")
-        kernel.execve(proc.pid, "child")
-        return clock.now_ns
+        return kernel.clock.now_ns
 
     @abc.abstractmethod
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:

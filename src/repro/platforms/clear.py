@@ -41,6 +41,7 @@ class ClearContainerPlatform(Platform):
         return self.costs.iptables_dnat_ns + self.costs.nested_vmexit_ns
 
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
+        clock = clock if clock is not None else SimClock()
         return GuestKernel(
             KernelConfig.clear_guest(), self.costs, clock,
             mmu=NativeMmu(self.costs, clock),

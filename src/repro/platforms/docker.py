@@ -33,6 +33,7 @@ class DockerPlatform(Platform):
         return NetDevice.BRIDGE
 
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
+        clock = clock if clock is not None else SimClock()
         config = KernelConfig.host_default()
         config.kpti = self.patched
         return GuestKernel(

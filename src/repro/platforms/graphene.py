@@ -56,6 +56,7 @@ class GraphenePlatform(Platform):
         return 0.0  # no port forwarding in the local-cluster setup (§5.5)
 
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
+        clock = clock if clock is not None else SimClock()
         config = KernelConfig(
             name="graphene-libos",
             smp=True,

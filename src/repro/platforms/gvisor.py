@@ -40,6 +40,7 @@ class GVisorPlatform(Platform):
         return NetDevice.GVISOR
 
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
+        clock = clock if clock is not None else SimClock()
         config = KernelConfig(
             name="gvisor-sentry",
             smp=True,

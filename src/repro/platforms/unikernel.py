@@ -43,6 +43,7 @@ class UnikernelPlatform(Platform):
         return 0.0  # local-cluster setup (§5.5)
 
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
+        clock = clock if clock is not None else SimClock()
         config = KernelConfig(
             name="rumprun",
             smp=False,

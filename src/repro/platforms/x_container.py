@@ -60,6 +60,7 @@ class XContainerPlatform(Platform):
         return NetDevice.NETFRONT
 
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
+        clock = clock if clock is not None else SimClock()
         config = KernelConfig.xlibos(smp=self.smp)
         return GuestKernel(
             config, self.costs, clock,

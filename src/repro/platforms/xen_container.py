@@ -42,6 +42,7 @@ class XenContainerPlatform(Platform):
         return NetDevice.NETFRONT
 
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
+        clock = clock if clock is not None else SimClock()
         config = KernelConfig(
             name="xen-guest-4.4",
             smp=True,

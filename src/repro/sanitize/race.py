@@ -105,9 +105,6 @@ class RaceDetector:
         """Start recording accesses to the page containing ``addr``."""
         self._pages.setdefault(addr >> PAGE_SHIFT, [])
 
-    def is_tracked(self, addr: int) -> bool:
-        return (addr >> PAGE_SHIFT) in self._pages
-
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------

@@ -42,12 +42,10 @@ if TYPE_CHECKING:
 class SanitizerSuite:
     """Deterministic cross-vCPU sanitizers over the simulated stack."""
 
-    def __init__(
-        self, race: bool = True, grants: bool = True, rings: bool = True
-    ) -> None:
-        self.race: RaceDetector | None = RaceDetector() if race else None
-        self.grants: GrantSanitizer | None = GrantSanitizer() if grants else None
-        self.rings: ProtocolChecker | None = ProtocolChecker() if rings else None
+    def __init__(self) -> None:
+        self.race: RaceDetector = RaceDetector()
+        self.grants: GrantSanitizer = GrantSanitizer()
+        self.rings: ProtocolChecker = ProtocolChecker()
         #: Whoever the execution driver says is running right now.
         self.current_actor = "main"
         self._memories: list[tuple[PagedMemory, object, object]] = []
@@ -57,18 +55,15 @@ class SanitizerSuite:
     # ------------------------------------------------------------------
     def attach_memory(self, memory: PagedMemory) -> None:
         """Observe plain and LOCK-prefixed stores through ``memory``."""
+        race = self.race
 
         def on_write(addr: int, size: int) -> None:
             if memory.in_locked_op:
                 return  # the lock observer reports this store
-            race = self.race
-            if race is not None:
-                race.write(self.current_actor, addr, size)
+            race.write(self.current_actor, addr, size)
 
         def on_lock(addr: int, size: int) -> None:
-            race = self.race
-            if race is not None:
-                race.locked_write(self.current_actor, addr, size)
+            race.locked_write(self.current_actor, addr, size)
 
         memory.add_write_observer(on_write)
         memory.add_lock_observer(on_lock)
@@ -86,27 +81,21 @@ class SanitizerSuite:
     # ------------------------------------------------------------------
     def on_exec(self, actor: str, addr: int, size: int) -> None:
         """Basic-block decode of ``[addr, addr+size)`` by ``actor``."""
-        if self.race is not None:
-            self.race.exec_access(actor, addr, size)
+        self.race.exec_access(actor, addr, size)
 
     # ------------------------------------------------------------------
     # Event-channel hooks
     # ------------------------------------------------------------------
     def on_event_send(self, port: int) -> None:
-        if self.rings is not None:
-            self.rings.on_event_send(port)
-        if self.race is not None:
-            self.race.release(self.current_actor, ("evt", port))
+        self.rings.on_event_send(port)
+        self.race.release(self.current_actor, ("evt", port))
 
     def on_event_drop(self, port: int) -> None:
-        if self.rings is not None:
-            self.rings.on_event_drop(port)
+        self.rings.on_event_drop(port)
 
     def on_event_deliver(self, port: int) -> None:
-        if self.rings is not None:
-            self.rings.on_event_deliver(port)
-        if self.race is not None:
-            self.race.acquire(self.current_actor, ("evt", port))
+        self.rings.on_event_deliver(port)
+        self.race.acquire(self.current_actor, ("evt", port))
 
     # ------------------------------------------------------------------
     # Ring hooks (split drivers)
@@ -119,175 +108,132 @@ class SanitizerSuite:
 
     def ring_register(self, name: str, size: int, slot_bytes: int) -> str:
         """Register a ring; returns the (uniquified) ring name."""
-        if self.rings is not None:
-            base, n = name, 2
-            while self.rings.ring(name) is not None:
-                name = f"{base}#{n}"
-                n += 1
-            page = self._SHADOW_RING_BASE + 0x1000 * len(self.rings.rings())
-            self.rings.ring_register(name, size, page, slot_bytes)
-            if self.race is not None:
-                self.race.track_page(page)
+        base, n = name, 2
+        while self.rings.ring(name) is not None:
+            name = f"{base}#{n}"
+            n += 1
+        page = self._SHADOW_RING_BASE + 0x1000 * len(self.rings.rings())
+        self.rings.ring_register(name, size, page, slot_bytes)
+        self.race.track_page(page)
         return name
 
     def ring_batch_start(self, name: str, producer: str) -> None:
-        if self.race is not None:
-            self.race.acquire(producer, ("ringc", name))
+        self.race.acquire(producer, ("ringc", name))
 
     def ring_publish(self, name: str, producer: str) -> None:
-        rings = self.rings
-        if rings is not None:
-            index = rings.ring_publish(name)
-            ring = rings.ring(name)
-            if self.race is not None and ring is not None:
-                self.race.write(
-                    producer, ring.slot_addr(index), ring.slot_bytes, track=True
-                )
+        index = self.rings.ring_publish(name)
+        ring = self.rings.ring(name)
+        if ring is not None:
+            self.race.write(
+                producer, ring.slot_addr(index), ring.slot_bytes, track=True
+            )
 
     def ring_kick(self, name: str, producer: str) -> None:
-        if self.rings is not None:
-            self.rings.ring_kick(name)
-        if self.race is not None:
-            self.race.release(producer, ("ring", name))
+        self.rings.ring_kick(name)
+        self.race.release(producer, ("ring", name))
 
     def ring_kick_lost(self, name: str) -> None:
-        if self.rings is not None:
-            self.rings.ring_kick_lost(name)
+        self.rings.ring_kick_lost(name)
 
     def ring_abort(self, name: str, pushed: int) -> None:
-        if self.rings is not None:
-            self.rings.ring_abort(name, pushed)
+        self.rings.ring_abort(name, pushed)
 
     def ring_reap(self, name: str, consumer: str, count: int) -> None:
         rings = self.rings
         race = self.race
-        if race is not None:
-            race.acquire(consumer, ("ring", name))
-        if rings is not None:
-            ring = rings.ring(name)
-            if ring is not None and race is not None:
-                for i in range(count):
-                    race.read(
-                        consumer,
-                        ring.slot_addr(ring.cons + i),
-                        ring.slot_bytes,
-                    )
-            rings.ring_consume(name, count)
-        if race is not None:
-            race.release(consumer, ("ringc", name))
+        race.acquire(consumer, ("ring", name))
+        ring = rings.ring(name)
+        if ring is not None:
+            for i in range(count):
+                race.read(
+                    consumer,
+                    ring.slot_addr(ring.cons + i),
+                    ring.slot_bytes,
+                )
+        rings.ring_consume(name, count)
+        race.release(consumer, ("ringc", name))
 
     def ring_stall_drain(self, name: str, producer: str, consumer: str) -> None:
         """Producer hit a full ring; backend drains it synchronously."""
         race = self.race
-        if race is not None:
-            race.release(producer, ("ring", name))
-            race.acquire(consumer, ("ring", name))
-        if self.rings is not None:
-            self.rings.ring_drain(name)
-        if race is not None:
-            race.release(consumer, ("ringc", name))
-            race.acquire(producer, ("ringc", name))
+        race.release(producer, ("ring", name))
+        race.acquire(consumer, ("ring", name))
+        self.rings.ring_drain(name)
+        race.release(consumer, ("ringc", name))
+        race.acquire(producer, ("ringc", name))
 
     def ring_quiesce(self, name: str) -> None:
-        if self.rings is not None:
-            self.rings.ring_quiesce(name)
+        self.rings.ring_quiesce(name)
 
     # ------------------------------------------------------------------
     # Grant hooks
     # ------------------------------------------------------------------
     def on_grant(self, ref: int, owner: int, page: int) -> None:
-        if self.grants is not None:
-            self.grants.on_grant(ref, owner, page)
-        if self.race is not None:
-            self.race.release(f"dom{owner}", ("gnt", ref))
+        self.grants.on_grant(ref, owner, page)
+        self.race.release(f"dom{owner}", ("gnt", ref))
 
     def on_map_attempt(self, ref: int) -> None:
-        if self.grants is not None:
-            self.grants.on_map_attempt(ref)
+        self.grants.on_map_attempt(ref)
 
     def on_map(self, ref: int, mapper: int) -> None:
-        if self.grants is not None:
-            self.grants.on_map(ref, mapper)
-        if self.race is not None:
-            self.race.acquire(f"dom{mapper}", ("gnt", ref))
+        self.grants.on_map(ref, mapper)
+        self.race.acquire(f"dom{mapper}", ("gnt", ref))
 
     def on_unmap_attempt(self, ref: int, mapper: int) -> None:
-        if self.grants is not None:
-            self.grants.on_unmap_attempt(ref, mapper)
+        self.grants.on_unmap_attempt(ref, mapper)
 
     def on_unmap(self, ref: int, mapper: int) -> None:
-        if self.grants is not None:
-            self.grants.on_unmap(ref)
-        if self.race is not None:
-            self.race.release(f"dom{mapper}", ("gnt", ref))
+        self.grants.on_unmap(ref)
+        self.race.release(f"dom{mapper}", ("gnt", ref))
 
     def on_copy(self, ref: int) -> None:
-        if self.grants is not None:
-            self.grants.on_copy(ref)
+        self.grants.on_copy(ref)
 
     def on_end(self, ref: int, owner: int) -> None:
         """``owner < 0`` means the real table no longer knows the ref
         (the double-end case) — no synchronization edge to draw."""
-        if self.race is not None and owner >= 0:
+        if owner >= 0:
             self.race.acquire(f"dom{owner}", ("gnt", ref))
-        if self.grants is not None:
-            self.grants.on_end(ref)
+        self.grants.on_end(ref)
 
     def on_domain_destroy(self, domid: int) -> None:
-        if self.grants is not None:
-            self.grants.on_domain_destroy(domid)
+        self.grants.on_domain_destroy(domid)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def finish(self) -> None:
         """End-of-run checks: lost wakeups at final quiescence."""
-        if self.rings is not None:
-            self.rings.quiesce_all()
+        self.rings.quiesce_all()
 
     @property
     def findings(self) -> list[Finding]:
         """All findings, deterministically ordered."""
-        out: list[Finding] = []
-        if self.race is not None:
-            out.extend(self.race.findings)
-        if self.grants is not None:
-            out.extend(self.grants.findings)
-        if self.rings is not None:
-            out.extend(self.rings.findings)
+        out = [
+            *self.race.findings, *self.grants.findings, *self.rings.findings
+        ]
         return sorted(out, key=lambda f: (f.kind, f.site, f.message))
 
     def stats(self) -> tuple[tuple[str, int], ...]:
         """Deterministic (name, value) counter pairs for reports."""
-        pairs: list[tuple[str, int]] = []
-        race = self.race
-        if race is not None:
-            pairs += [
-                ("race_accesses_checked", race.accesses_checked),
-                ("race_sync_edges", race.sync_edges),
-                ("race_findings", len(race.findings)),
-            ]
-        grants = self.grants
-        if grants is not None:
-            pairs += [
-                ("grant_grants", grants.grants_issued),
-                ("grant_maps", grants.maps),
-                ("grant_unmaps", grants.unmaps),
-                ("grant_copies", grants.copies),
-                ("grant_ends", grants.ends),
-                ("grant_findings", len(grants.findings)),
-            ]
-        rings = self.rings
-        if rings is not None:
-            pairs += [
-                ("ring_publishes", rings.publishes),
-                ("ring_consumes", rings.consumes),
-                ("event_sends", rings.event_sends),
-                ("event_drops", rings.event_drops),
-                ("event_deliveries", rings.event_deliveries),
-                ("ring_findings", len(rings.findings)),
-            ]
-        return tuple(pairs)
+        race, grants, rings = self.race, self.grants, self.rings
+        return (
+            ("race_accesses_checked", race.accesses_checked),
+            ("race_sync_edges", race.sync_edges),
+            ("race_findings", len(race.findings)),
+            ("grant_grants", grants.grants_issued),
+            ("grant_maps", grants.maps),
+            ("grant_unmaps", grants.unmaps),
+            ("grant_copies", grants.copies),
+            ("grant_ends", grants.ends),
+            ("grant_findings", len(grants.findings)),
+            ("ring_publishes", rings.publishes),
+            ("ring_consumes", rings.consumes),
+            ("event_sends", rings.event_sends),
+            ("event_drops", rings.event_drops),
+            ("event_deliveries", rings.event_deliveries),
+            ("ring_findings", len(rings.findings)),
+        )
 
     def bind_telemetry(self, registry: Registry) -> None:
         from repro.obs.wire import wire_sanitizers

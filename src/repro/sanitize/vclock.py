@@ -45,9 +45,3 @@ def vc_leq(a: VClock, b: VClock) -> bool:
         if time > b.get(actor, 0):
             return False
     return True
-
-
-def vc_render(clock: VClock) -> str:
-    """Deterministic ``{actor:t, ...}`` rendering (sorted keys)."""
-    inner = ", ".join(f"{k}:{clock[k]}" for k in sorted(clock))
-    return "{" + inner + "}"

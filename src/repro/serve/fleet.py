@@ -115,8 +115,5 @@ class BackendFleet:
         """Alive plus still-warming backends (the autoscaler's count)."""
         return self.n_alive() + len(self._pending)
 
-    def n_draining(self) -> int:
-        return len(self.ipvs.draining_servers)
-
     def active_conns(self, backend_id: int) -> int:
         return self._server_of[backend_id].active_conns

@@ -27,10 +27,6 @@ from repro.guest.vfs import O_CREAT, O_RDONLY, O_RDWR
 from repro.perf.clock import SimClock
 from repro.platforms.base import Platform
 
-#: The §5.4 System Call benchmark's syscalls.
-SYSCALL_BENCH_CALLS = ("dup", "close", "getpid", "getuid", "umask")
-
-
 def build_syscall_bench(iterations: int, base: int = 0x400000) -> Binary:
     """The UnixBench System Call loop as real machine code.
 
@@ -88,7 +84,6 @@ def execl_bench(platform: Platform, iterations: int = 50) -> BenchScore:
     """Execl throughput: repeated binary overlays."""
     clock = SimClock()
     kernel = platform.make_kernel(clock)
-    kernel.mmu.clock = clock
     proc = kernel.spawn("execl_bench")
     for i in range(iterations):
         clock.advance(EXECL_SYSCALLS_PER_ITER * platform.syscall_cost_ns())
@@ -161,7 +156,6 @@ def process_creation_bench(
     """Process Creation: fork + exit + wait."""
     clock = SimClock()
     kernel = platform.make_kernel(clock)
-    kernel.mmu.clock = clock
     parent = kernel.spawn("forker")
     for _ in range(iterations):
         clock.advance(platform.syscall_cost_ns())  # fork

@@ -133,6 +133,9 @@ class BlockStats:
 class SplitBlockDriver:
     """blkfront/blkback pair: guest block I/O through a shared ring.
 
+    Only the split path is modelled: Docker's native device-mapper path
+    has no ring, so nothing here charges or checks it.
+
     Backend death is injectable (:data:`repro.faults.sites.BLK_BACKEND`)
     and always strikes *before* any sector is touched, so a failed write
     is never torn; blkfront reconnects and retries under :attr:`retry`.
@@ -143,24 +146,19 @@ class SplitBlockDriver:
         store: BlockStore,
         costs: CostModel | None = None,
         clock: SimClock | None = None,
-        #: Native (non-split) backends skip the ring cost: Docker's
-        #: device-mapper path.
-        split: bool = True,
         faults=None,
         retry: RetryPolicy | None = None,
         sanitizer=None,
     ) -> None:
         self.store = store
         self.costs = costs or CostModel()
-        self.clock = clock
-        self.split = split
+        self.clock = clock if clock is not None else SimClock()
         #: Optional :class:`repro.faults.plan.FaultEngine`.
         self.faults = faults
         self.retry = retry or RetryPolicy()
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite` — only
-        #: meaningful on the split path (the native device-mapper path
-        #: has no ring protocol to check).
-        self.sanitizer = sanitizer if split else None
+        #: Optional :class:`repro.sanitize.suite.SanitizerSuite`; mirrors
+        #: the ring protocol (publish/kick/reap).
+        self.sanitizer = sanitizer
         self.stats = BlockStats()
         self.backend_alive = True
         #: Optional ring waker (``ExecutionEngine.ring_waker(domid)``):
@@ -181,15 +179,12 @@ class SplitBlockDriver:
         wire.wire_ring_driver(registry, name, self)
 
     def _ring_entry(self, op: str) -> None:
-        """Fault hook at ring submission; no-op on the native path."""
-        if not self.split:
-            return
+        """Fault hook at ring submission."""
         if not self.backend_alive:
             # blkback reconnect: one ring re-setup charge.
             self.backend_alive = True
             self.stats.backend_restarts += 1
-            if self.clock is not None:
-                self.clock.advance(self.costs.netfront_ns)
+            self.clock.advance(self.costs.netfront_ns)
         if self.faults is not None:
             fault = self.faults.fire(fault_sites.BLK_BACKEND, op=op)
             if fault is not None:
@@ -199,31 +194,23 @@ class SplitBlockDriver:
                     raise BackendDeadError("blkback died mid-ring")
                 if fault.kind == "stall":
                     self.stats.ring_stalls += 1
-                    if self.clock is not None:
-                        self.clock.advance(
-                            self.costs.netfront_ns * max(1.0, fault.param)
-                        )
+                    self.clock.advance(
+                        self.costs.netfront_ns * max(1.0, fault.param)
+                    )
 
     def _charge_batch(self, ndescs: int, nbytes: int) -> None:
         """Charge one descriptor batch: fixed ring service + marginals.
 
-        The split path amortizes grant + ring + event work at the same
-        0.6 factor as before; ``0.6 * (ring_batch_fixed_ns +
-        ring_per_desc_ns)`` equals the legacy ``0.6 * netfront_ns`` per
-        request at batch size one (calibration invariant in
-        ``perf/costs.py``).  The native device-mapper path has no ring,
-        so each descriptor keeps its full VFS charge.
+        Grant + ring + event work is amortized at the same 0.6 factor
+        as before; ``0.6 * (ring_batch_fixed_ns + ring_per_desc_ns)``
+        equals the legacy ``0.6 * netfront_ns`` per request at batch size
+        one (calibration invariant in ``perf/costs.py``).
         """
-        cost = nbytes * self.costs.copy_per_byte_ns
-        if self.split:
-            cost += 0.6 * (
-                self.costs.ring_batch_fixed_ns
-                + ndescs * self.costs.ring_per_desc_ns
-            )
-        else:
-            cost += ndescs * self.costs.vfs_op_ns
-        if self.clock is not None:
-            self.clock.advance(cost)
+        cost = nbytes * self.costs.copy_per_byte_ns + 0.6 * (
+            self.costs.ring_batch_fixed_ns
+            + ndescs * self.costs.ring_per_desc_ns
+        )
+        self.clock.advance(cost)
 
     def read(self, sector: int, count: int = 1) -> bytes:
         if count < 1:

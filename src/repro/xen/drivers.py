@@ -107,7 +107,7 @@ class SplitNetDriver:
         self.grants = grants
         self.events = events
         self.costs = costs or CostModel()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         #: Optional :class:`repro.faults.plan.FaultEngine`.
         self.faults = faults
         self.retry = retry or RetryPolicy()
@@ -258,8 +258,7 @@ class SplitNetDriver:
         self.stats.bytes_moved += sum(batch)
         self.stats.batches += 1
         self.stats.kicks_saved += len(batch) - 1
-        if self.clock is not None:
-            self.clock.advance(cost)
+        self.clock.advance(cost)
         self._in_flight = max(0, self._in_flight - len(batch))
         if self.waker is not None:
             # The reap completes the frontend's wait: wake its domain.

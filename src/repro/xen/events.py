@@ -48,7 +48,7 @@ class EventChannelTable:
         sanitizer=None,
     ) -> None:
         self.costs = costs or CostModel()
-        self.clock = clock
+        self.clock = clock if clock is not None else SimClock()
         #: Optional :class:`repro.faults.plan.FaultEngine`; ``None`` keeps
         #: every hook a single attribute test.
         self.faults = faults
@@ -93,10 +93,6 @@ class EventChannelTable:
     # ------------------------------------------------------------------
     # Batch scope (deferred / coalesced notification)
     # ------------------------------------------------------------------
-    @property
-    def in_batch(self) -> bool:
-        return self._batch_depth > 0
-
     @contextmanager
     def batch(self, via_hypercall: bool = False) -> Iterator["EventChannelTable"]:
         """Defer event delivery until scope exit.
@@ -152,7 +148,7 @@ class EventChannelTable:
                     return False
                 if fault.kind == "delay":
                     self.notifications_delayed += 1
-                    self._charge(fault.param)
+                    self.clock.advance(fault.param)
         if self.sanitizer is not None:
             self.sanitizer.on_event_send(port)
         channel.pending += 1
@@ -179,7 +175,7 @@ class EventChannelTable:
         """
         delivered = 0
         if via_hypercall and self.evtchn_upcall_pending:
-            self._charge(self.costs.hypercall_ns)
+            self.clock.advance(self.costs.hypercall_ns)
             self.hypercall_deliveries += 1
         for channel in self._channels.values():
             while channel.pending > 0:
@@ -188,14 +184,10 @@ class EventChannelTable:
                 delivered += 1
                 if not via_hypercall:
                     # emulate the interrupt stack frame: a few stores.
-                    self._charge(6 * self.costs.instruction_ns)
+                    self.clock.advance(6 * self.costs.instruction_ns)
                     self.direct_deliveries += 1
                 if self.sanitizer is not None:
                     self.sanitizer.on_event_deliver(channel.port)
                 channel.handler()
         self.evtchn_upcall_pending = False
         return delivered
-
-    def _charge(self, ns: float) -> None:
-        if self.clock is not None:
-            self.clock.advance(ns)

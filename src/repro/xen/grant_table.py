@@ -28,7 +28,6 @@ class GrantRef:
     ref: int
     owner_domid: int
     page_addr: int
-    readonly: bool
     mapped_by: int | None = None
 
 
@@ -73,12 +72,10 @@ class GrantTable:
 
         wire.wire_grants(registry, self)
 
-    def grant_access(
-        self, owner_domid: int, page_addr: int, readonly: bool = False
-    ) -> int:
+    def grant_access(self, owner_domid: int, page_addr: int) -> int:
         ref = self._next_ref
         self._next_ref += 1
-        self._grants[ref] = GrantRef(ref, owner_domid, page_addr, readonly)
+        self._grants[ref] = GrantRef(ref, owner_domid, page_addr)
         if self.sanitizer is not None:
             self.sanitizer.on_grant(ref, owner_domid, page_addr)
         return ref

@@ -53,14 +53,14 @@ class HypercallTable:
     """Dispatches and accounts hypercalls for one hypervisor instance."""
 
     costs: CostModel = field(default_factory=CostModel)
-    clock: SimClock | None = None
+    clock: SimClock = field(default_factory=SimClock)
     counts: dict[str, int] = field(default_factory=dict)
 
     def call(self, name: str, batch: int = 1) -> float:
         """Execute ``batch`` invocations of hypercall ``name``.
 
         Returns the simulated cost in nanoseconds (also charged to the
-        clock when one is attached).
+        clock).
         """
         weight = HYPERCALL_WEIGHTS.get(name)
         if weight is None:
@@ -69,8 +69,7 @@ class HypercallTable:
             raise ValueError(f"batch must be >= 1: {batch}")
         self.counts[name] = self.counts.get(name, 0) + batch
         cost = self.costs.hypercall_ns * weight * batch
-        if self.clock is not None:
-            self.clock.advance(cost)
+        self.clock.advance(cost)
         return cost
 
     @property

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from repro.faults import sites as fault_sites
 from repro.perf.costs import CostModel
 
+#: Xen's 30 ms credit-scheduler time slice.
+CREDIT_QUANTUM_NS = 30e6
+
 
 @dataclass
 class VCpu:
@@ -36,14 +39,12 @@ class CreditScheduler:
         self,
         physical_cpus: int,
         costs: CostModel | None = None,
-        quantum_ns: float = 30e6,  # Xen's 30 ms default time slice
         faults=None,
     ) -> None:
         if physical_cpus < 1:
             raise ValueError(f"need at least one pCPU: {physical_cpus}")
         self.physical_cpus = physical_cpus
         self.costs = costs or CostModel()
-        self.quantum_ns = quantum_ns
         #: Optional :class:`repro.faults.plan.FaultEngine`.
         self.faults = faults
         self._vcpus: list[VCpu] = []
@@ -60,19 +61,6 @@ class CreditScheduler:
         #: Scheduler faults auto-heal at the next interval; this carries
         #: the recovery count across the call boundary.
         self._pending_recoveries = 0
-        #: Optional telemetry histogram of per-interval switch overhead
-        #: (set by :meth:`bind_telemetry`; pure observation, never charged).
-        self._overhead_hist = None
-
-    def bind_telemetry(self, registry) -> None:
-        """Expose ``xen_sched_*`` metrics plus an overhead histogram."""
-        from repro.obs import wire
-
-        wire.wire_scheduler(registry, self)
-        self._overhead_hist = registry.histogram(
-            "xen_sched_overhead_ns",
-            help="per-interval vCPU switch overhead (oversubscribed only)",
-        )
 
     def add_vcpu(self, domid: int, weight: int = 256) -> VCpu:
         vcpu = VCpu(len(self._vcpus), domid, weight)
@@ -170,12 +158,10 @@ class CreditScheduler:
             len(runnable) > self.physical_cpus or overhead_factor > 1.0
         )
         if oversubscribed:
-            quanta = total_capacity / self.quantum_ns * overhead_factor
+            quanta = total_capacity / CREDIT_QUANTUM_NS * overhead_factor
             overhead = quanta * self.switch_cost_ns()
             self.switches += int(quanta)
             total_capacity = max(0.0, total_capacity - overhead)
-            if self._overhead_hist is not None:
-                self._overhead_hist.observe(overhead)
         total_weight = sum(v.weight for v in runnable)
         shares: dict[int, float] = {}
         for vcpu in runnable:

@@ -33,19 +33,20 @@ class DomainCreation:
 
 
 class Toolstack:
-    """Creates and destroys domains through the hypervisor."""
+    """Creates and destroys domains through the hypervisor.
+
+    Every create charges the stock ``xl`` toolstack time.  The LightVM
+    toolstack (§4.5) is modelled in one place: ``DockerWrapper(
+    fast_toolstack=True)`` in :mod:`repro.core.docker_wrapper`.
+    """
 
     def __init__(
         self,
         xen: XenHypervisor,
-        lightvm_mode: bool = False,
         faults=None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.xen = xen
-        #: LightVM's streamlined toolstack (no xenstore transactions, no
-        #: device-model handshakes).
-        self.lightvm_mode = lightvm_mode
         #: Optional :class:`repro.faults.plan.FaultEngine`.
         self.faults = faults
         #: Spawn retries back off in the millisecond range — xl restarts
@@ -111,15 +112,12 @@ class Toolstack:
                 wait_ns = fault.param or self.costs.xl_toolstack_ms * 1e6
                 self.clock.advance(wait_ns)
                 raise SpawnTimeout(f"xl create {name!r} timed out")
-        toolstack_ms = (
-            self.costs.lightvm_toolstack_ms
-            if self.lightvm_mode
-            else self.costs.xl_toolstack_ms
-        )
         boot_ms = (
             self.costs.vm_boot_ms if full_vm_boot else self.costs.xlibos_boot_ms
         )
-        creation = DomainCreation(domain, toolstack_ms, boot_ms)
+        creation = DomainCreation(
+            domain, self.costs.xl_toolstack_ms, boot_ms
+        )
         self.clock.advance(creation.total_ms * 1e6)
         self.creations.append(creation)
         if self.waker is not None:

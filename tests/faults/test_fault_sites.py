@@ -60,16 +60,19 @@ class TestEventChannels:
         assert table.notifications_dropped == 1
 
     def test_delay_charges_param_then_delivers(self):
-        table, clock, port, hits = self.make(
-            engine(
-                FaultSpec(sites.EVENT_NOTIFY, "delay", Nth(1), param=500.0)
-            )
-        )
+        from repro.xen.events import EventChannelTable
+
+        delay = FaultSpec(sites.EVENT_NOTIFY, "delay", Nth(1), param=500.0)
+        table, clock, port, hits = self.make(engine(delay))
         before = clock.now_ns
         assert table.send(port) is True
         assert clock.now_ns - before == 500.0
         table.drain(via_hypercall=False)
         assert hits == [1]
+        # A table built without a clock charges its own.
+        own = EventChannelTable(faults=engine(delay))
+        assert own.send(own.bind(lambda: None)) is True
+        assert own.clock.now_ns == 500.0
 
 
 class TestGrantTable:

@@ -1,4 +1,4 @@
-"""The decorator-based scenario registry.
+"""The scenario registry.
 
 The registry is the canonical scenario surface: registration order is
 the catalog order, and unknown-name errors list the catalog sorted.
@@ -69,28 +69,8 @@ class TestRegistry:
             registry.register(_scenario("temp-dup"))
             with pytest.raises(ValueError, match="already registered"):
                 registry.register(_scenario("temp-dup"))
-            # replace=True is the explicit override.
-            registry.register(_scenario("temp-dup"), replace=True)
         finally:
             registry.unregister("temp-dup")
-
-    def test_decorator_registers_and_returns_scenario(self):
-        try:
-
-            @registry.scenario(
-                name="temp-decorated",
-                description="declared via decorator",
-                substrates=("xen.events",),
-                plan=lambda seed: FaultPlan((), seed),
-            )
-            def body(ctx):
-                return {"ran": 1}
-
-            assert isinstance(body, Scenario)
-            assert body.name == "temp-decorated"
-            assert registry.get_scenario("temp-decorated") is body
-        finally:
-            registry.unregister("temp-decorated")
 
     def test_package_exports_the_registry_surface(self):
         import repro.faults as faults
@@ -98,4 +78,3 @@ class TestRegistry:
         assert faults.scenario_names() == registry.scenario_names()
         assert faults.get_scenario is registry.get_scenario
         assert faults.register is registry.register
-        assert faults.scenario is registry.scenario

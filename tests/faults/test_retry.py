@@ -59,13 +59,18 @@ class TestBackoff:
 class TestRun:
     def test_succeeds_on_last_allowed_attempt(self):
         flaky = Flaky(4)
-        assert RetryPolicy(max_attempts=5).run(flaky, OSError) == "ok"
+        result = RetryPolicy(max_attempts=5).run(
+            flaky, OSError, clock=SimClock()
+        )
+        assert result == "ok"
         assert flaky.calls == 5
 
     def test_exhaustion_raises_with_cause(self):
         flaky = Flaky(10)
         with pytest.raises(RetryExhausted) as excinfo:
-            RetryPolicy(max_attempts=3).run(flaky, OSError, site="x")
+            RetryPolicy(max_attempts=3).run(
+                flaky, OSError, clock=SimClock(), site="x"
+            )
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value.__cause__, OSError)
         assert flaky.calls == 3
@@ -73,7 +78,7 @@ class TestRun:
     def test_non_retriable_escapes_immediately(self):
         flaky = Flaky(1, exc=ValueError)
         with pytest.raises(ValueError):
-            RetryPolicy().run(flaky, OSError)
+            RetryPolicy().run(flaky, OSError, clock=SimClock())
         assert flaky.calls == 1
 
     def test_backoff_charged_to_clock(self):
@@ -87,7 +92,8 @@ class TestRun:
     def test_lifecycle_recorded_on_recovery(self):
         eng = engine()
         RetryPolicy().run(
-            Flaky(2), OSError, faults=eng, site=sites.NET_BACKEND
+            Flaky(2), OSError, clock=SimClock(), faults=eng,
+            site=sites.NET_BACKEND,
         )
         counters = eng.counters[sites.NET_BACKEND]
         assert counters.retried == 2
@@ -98,7 +104,8 @@ class TestRun:
         eng = engine()
         with pytest.raises(RetryExhausted):
             RetryPolicy(max_attempts=2).run(
-                Flaky(5), OSError, faults=eng, site=sites.NET_BACKEND
+                Flaky(5), OSError, clock=SimClock(), faults=eng,
+                site=sites.NET_BACKEND,
             )
         counters = eng.counters[sites.NET_BACKEND]
         assert counters.retried == 1
@@ -107,17 +114,8 @@ class TestRun:
 
     def test_no_lifecycle_noise_on_clean_success(self):
         eng = engine()
-        RetryPolicy().run(Flaky(0), OSError, faults=eng, site="x")
+        RetryPolicy().run(
+            Flaky(0), OSError, clock=SimClock(), faults=eng, site="x"
+        )
         assert eng.totals().retried == 0
         assert eng.totals().recovered == 0
-
-    def test_on_retry_hook_runs_and_its_transient_failure_is_absorbed(self):
-        calls = []
-
-        def hook(exc, failures):
-            calls.append(failures)
-            if failures == 1:
-                raise OSError("reconnect also failed")
-
-        assert RetryPolicy().run(Flaky(2), OSError, on_retry=hook) == "ok"
-        assert calls == [1, 2]

@@ -3,7 +3,7 @@
 Wiring the registry, taking snapshots, exporting — none of it may change
 simulated results.  Hypothesis generates random programs and descriptor
 trains; each runs twice (telemetry on, with exports taken mid-flight, vs
-``telemetry=False``) and every simulated number must match exactly.
+telemetry never built) and every simulated number must match exactly.
 """
 
 from hypothesis import given, settings
@@ -49,9 +49,7 @@ class TestTelemetryNeutrality:
         binary = build_program(ops, iters)
 
         def run(telemetry_on):
-            xc = XContainer(
-                CountingServices(), telemetry=telemetry_on
-            )
+            xc = XContainer(CountingServices())
             if telemetry_on:
                 tel = xc.telemetry()  # wire everything up front
             result = xc.run(binary)

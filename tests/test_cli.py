@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Every table and figure, byte for byte (``repro experiments all``).
+EXPERIMENTS_OUTPUT = (
+    Path(__file__).resolve().parent.parent / "experiments_output.txt"
+)
 
 
 class TestCli:
@@ -28,6 +34,10 @@ class TestCli:
         assert main(["experiments", "spawn"]) == 0
         out = capsys.readouterr().out
         assert "Section 4.5" in out
+
+    def test_experiments_all_matches_checked_in_output(self, capsys):
+        assert main(["experiments", "all"]) == 0
+        assert capsys.readouterr().out == EXPERIMENTS_OUTPUT.read_text()
 
     def test_unknown_experiment_errors(self):
         with pytest.raises(KeyError):

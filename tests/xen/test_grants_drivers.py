@@ -63,13 +63,14 @@ class TestGrantTable:
 
 
 class TestSplitNetDriver:
-    def _driver(self):
+    def _driver(self, own_clock=False):
         xen = XenHypervisor(clock=SimClock())
         guest = xen.create_domain("guest")
         backend = xen.domain(0)
         events = EventChannelTable(xen.costs, xen.clock)
         driver = SplitNetDriver(
-            guest, backend, xen.grants, events, xen.costs, xen.clock
+            guest, backend, xen.grants, events, xen.costs,
+            None if own_clock else xen.clock,
         )
         return xen, driver
 
@@ -79,13 +80,15 @@ class TestSplitNetDriver:
         assert xen.hypercalls.counts["grant_table_op"] == 1
 
     def test_transmit_charges_and_counts(self):
-        xen, driver = self._driver()
-        before = xen.clock.now_ns
-        cost = driver.transmit(1500)
-        assert xen.clock.now_ns - before >= cost
-        assert driver.stats.requests == 1
-        assert driver.stats.bytes_moved == 1500
-        assert driver.stats.kicks == 1
+        # A driver built without a clock charges its own.
+        for own_clock in (False, True):
+            _, driver = self._driver(own_clock)
+            before = driver.clock.now_ns
+            cost = driver.transmit(1500)
+            assert driver.clock.now_ns - before >= cost
+            assert driver.stats.requests == 1
+            assert driver.stats.bytes_moved == 1500
+            assert driver.stats.kicks == 1
 
     def test_negative_payload_rejected(self):
         _, driver = self._driver()

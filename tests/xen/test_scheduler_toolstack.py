@@ -73,13 +73,6 @@ class TestToolstack:
         creation = stack.create("xc1", full_vm_boot=False)
         assert creation.total_ms == pytest.approx(3000.0, rel=0.01)
 
-    def test_lightvm_toolstack_fast(self):
-        xen = XenHypervisor(clock=SimClock())
-        stack = Toolstack(xen, lightvm_mode=True)
-        creation = stack.create("xc1", full_vm_boot=False)
-        assert creation.toolstack_ms == pytest.approx(4.0)
-        assert creation.total_ms < 200
-
     def test_full_vm_boot_much_slower(self):
         xen = XenHypervisor(clock=SimClock())
         stack = Toolstack(xen)
