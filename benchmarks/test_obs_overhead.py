@@ -3,7 +3,7 @@
 The registry observes the substrates through lazy bindings — hot paths
 keep mutating their own stat structs and the registry reads them at
 collect time, so bound instruments are free by construction.  What DOES
-run per request when a :class:`repro.obs.Telemetry` is attached to
+run per request when a :class:`repro.obs.Registry` is attached to
 :class:`FunctionalWrk` is:
 
 * two ``self.telemetry is not None`` guards,
@@ -30,7 +30,7 @@ cannot fail the build.
 
 import time
 
-from repro.obs import Telemetry
+from repro.obs import Registry, TraceRecorder, prometheus_text
 from repro.perf.clock import SimClock
 from repro.workloads.wrk_functional import FunctionalWrk
 
@@ -40,6 +40,13 @@ from repro.workloads.wrk_functional import FunctionalWrk
 GUARDS_PER_OP = 2
 
 REQUESTS = 500
+
+
+def _telemetry():
+    """A registry with a span recorder on a fresh clock."""
+    registry = Registry()
+    registry.spans = TraceRecorder(SimClock())
+    return registry
 
 
 def _min_time(fn, rounds=7):
@@ -81,7 +88,7 @@ def test_telemetry_overhead_under_two_percent(benchmark, record_rate):
 
     # What opted-in callers pay: one span + one observe per request.
     # Informational only — it is work the caller asked for.
-    tel = Telemetry(clock=SimClock())
+    tel = _telemetry()
     hist = tel.histogram("net_http_request_latency_ns")
 
     def instruments():
@@ -103,14 +110,14 @@ def test_telemetry_overhead_under_two_percent(benchmark, record_rate):
 
 def test_wired_telemetry_leaves_http_results_identical():
     def run(wired):
-        tel = Telemetry(clock=SimClock()) if wired else None
+        tel = _telemetry() if wired else None
         wrk = FunctionalWrk(
-            clock=tel.clock if wired else None, telemetry=tel
+            clock=tel.spans.clock if wired else None, telemetry=tel
         )
         first = wrk.run(40)
         if wired:
             tel.snapshot()  # exports mid-run are pure reads
-            tel.prometheus_text()
+            prometheus_text(tel)
         second = wrk.run(10)
         return (
             first.requests,
@@ -126,8 +133,8 @@ def test_wired_telemetry_leaves_http_results_identical():
 
 
 def test_wired_telemetry_records_what_it_observed():
-    tel = Telemetry(clock=SimClock())
-    wrk = FunctionalWrk(clock=tel.clock, telemetry=tel)
+    tel = _telemetry()
+    wrk = FunctionalWrk(clock=tel.spans.clock, telemetry=tel)
     report = wrk.run(25)
     snap = tel.snapshot()
     assert report.errors == 0

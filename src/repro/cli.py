@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 #: Exit-code contract, shown in ``repro --help``.
 EXIT_CODES = """\
@@ -66,11 +67,31 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for integers ``>= minimum``; argparse turns
+    a rejected value into a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}: {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # so a non-number still reads "invalid int value"
+    return parse
+
+
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import experiment_ids, run_experiment
 
-    ids = experiment_ids() if args.id == "all" else [args.id]
-    for eid in ids:
+    known = experiment_ids()
+    if args.id != "all" and args.id not in known:
+        raise SystemExit(
+            f"unknown experiment {args.id!r} (known: {', '.join(known)})"
+        )
+    for eid in known if args.id == "all" else [args.id]:
         for result in run_experiment(eid):
             print(result.format_table())
             print()
@@ -265,7 +286,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
     )
     if args.prometheus:
-        _emit(args, prometheus_text(report.result.telemetry.registry))
+        _emit(args, prometheus_text(report.result.telemetry))
     else:
         _emit_report(args, report)
     if not report.result.slo_ok or not report.result.conservation_ok:
@@ -333,19 +354,21 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Run the deterministic telemetry demo and export its registry.
 
     ``--format table`` renders the fixed-width metric table, ``--format
-    json`` the full :meth:`Telemetry.snapshot`; ``--prometheus``
-    switches to the Prometheus text exposition format instead.  Same
-    ``--seed`` ⇒ byte-identical output (the golden tests pin this).
+    json`` the full :meth:`Registry.snapshot` (span aggregate included);
+    ``--prometheus`` switches to the Prometheus text exposition format
+    instead.  Same ``--seed`` ⇒ byte-identical output (the golden tests
+    pin this).
     """
+    from repro.obs import prometheus_text, render_table
     from repro.obs.demo import run_demo
 
-    tel = run_demo(seed=args.seed, requests=args.requests)
+    registry = run_demo(seed=args.seed, requests=args.requests)
     if args.prometheus:
-        _emit(args, tel.prometheus_text())
+        _emit(args, prometheus_text(registry))
     elif args.format == "json":
-        _emit(args, _json_text(tel.snapshot()))
+        _emit(args, _json_text(registry.snapshot()))
     else:
-        _emit(args, tel.render_table())
+        _emit(args, render_table(registry))
     return 0
 
 
@@ -355,13 +378,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--format table`` prints the span table; ``--format json`` emits
     Chrome trace-event JSON loadable in about://tracing or Perfetto.
     """
+    from repro.obs import chrome_trace_json
     from repro.obs.demo import run_demo
 
-    tel = run_demo(seed=args.seed, requests=args.requests)
+    spans = run_demo(seed=args.seed, requests=args.requests).spans
     if args.format == "json":
-        _emit(args, tel.chrome_trace_json(pretty=args.pretty))
+        _emit(args, chrome_trace_json(spans, pretty=args.pretty))
     else:
-        _emit(args, tel.spans.render(limit=args.limit))
+        _emit(args, spans.render(limit=args.limit))
     return 0
 
 
@@ -399,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     tcb.set_defaults(func=cmd_tcb)
 
     demo = sub.add_parser("abom-demo", help="live binary-patching demo")
-    demo.add_argument("--iterations", type=int, default=3)
+    demo.add_argument("--iterations", type=_at_least(1), default=3)
     demo.set_defaults(func=cmd_abom_demo)
 
     analyze = sub.add_parser(
@@ -451,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
              "example sequence byte-identically",
     )
     fuzz.add_argument(
-        "--max-examples", type=int, default=25,
+        "--max-examples", type=_at_least(1), default=25,
         help="Hypothesis example budget (default: 25)",
     )
     fuzz.add_argument(
-        "--steps", type=int, default=30,
+        "--steps", type=_at_least(1), default=30,
         help="max rule steps per example (default: 30)",
     )
     fuzz.add_argument(
@@ -525,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan seed; same seed replays byte-identically",
     )
     metrics.add_argument(
-        "--requests", type=int, default=8,
+        "--requests", type=_at_least(1), default=8,
         help="HTTP requests the demo workload issues",
     )
     metrics.add_argument(
@@ -543,11 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan seed; same seed replays byte-identically",
     )
     trace.add_argument(
-        "--requests", type=int, default=8,
+        "--requests", type=_at_least(1), default=8,
         help="HTTP requests the demo workload issues",
     )
     trace.add_argument(
-        "--limit", type=int, default=64,
+        "--limit", type=_at_least(0), default=64,
         help="max spans in the table rendering",
     )
     trace.add_argument(

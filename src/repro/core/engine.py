@@ -577,13 +577,3 @@ class ExecutionEngine:
                 "bursts": stats.bursts,
             },
         }
-
-    def bind_telemetry(self, registry) -> None:
-        """Expose the ``sched_*`` engine metrics (see docs/telemetry.md).
-
-        Every exported value is engine-invariant; the host-only ``polls``
-        counter stays off the registry by design.
-        """
-        from repro.obs import wire
-
-        wire.wire_exec_engine(registry, self)

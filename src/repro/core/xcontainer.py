@@ -88,7 +88,7 @@ class XContainer:
         #: name -> split driver (SplitNetDriver / SplitBlockDriver) whose
         #: ring counters :meth:`telemetry` surfaces.
         self._io_drivers: dict[str, object] = {}
-        #: Lazily-built :class:`repro.obs.Telemetry` (see :meth:`telemetry`).
+        #: Lazily-built :class:`repro.obs.Registry` (see :meth:`telemetry`).
         self._telemetry = None
         #: Optional :class:`repro.sanitize.suite.SanitizerSuite`.
         self.sanitizers = None
@@ -140,9 +140,7 @@ class XContainer:
         if self._telemetry is not None:
             from repro.obs import wire
 
-            wire.wire_cpu(
-                self._telemetry.registry, cpu, index=len(self.cpus) - 1
-            )
+            wire.wire_cpu(self._telemetry, cpu, index=len(self.cpus) - 1)
         return cpu
 
     def run_concurrent(
@@ -316,21 +314,22 @@ class XContainer:
         return self.libos.stats
 
     def telemetry(self):
-        """This container's :class:`repro.obs.Telemetry` facade.
+        """This container's :class:`repro.obs.Registry` (``domain=name``).
 
         One registry behind every counter: icache, X-Kernel traps and
         hypercalls, ABOM patch phases, LibOS syscall paths, attached
         split-driver rings, and (when a fault engine is attached) the
-        fault-injection lifecycle.  Built lazily on first call — all
-        bindings read the substrate structs at collection time, so
-        enabling telemetry never changes simulated bytes or costs.
+        fault-injection lifecycle.  Its ``spans`` is a
+        :class:`repro.obs.TraceRecorder` on this container's clock.
+        Built lazily on first call — all bindings read the substrate
+        structs at collection time, so enabling telemetry never changes
+        simulated bytes or costs.
         """
         if self._telemetry is None:
-            from repro.obs import wire
-            from repro.obs.facade import Telemetry
+            from repro.obs import Registry, TraceRecorder, wire
 
-            tel = Telemetry(clock=self.clock, domain=self.name)
-            registry = tel.registry
+            registry = Registry(domain=self.name)
+            registry.spans = TraceRecorder(self.clock)
             for index, cpu in enumerate(self.cpus):
                 wire.wire_cpu(registry, cpu, index=index)
             wire.wire_xkernel(registry, self.xkernel)
@@ -340,7 +339,7 @@ class XContainer:
                 wire.wire_faults(registry, self.faults)
             for name, driver in self._io_drivers.items():
                 wire.wire_ring_driver(registry, name, driver)
-            self._telemetry = tel
+            self._telemetry = registry
         return self._telemetry
 
     def attach_io_driver(self, name: str, driver) -> None:
@@ -357,7 +356,7 @@ class XContainer:
         if self._telemetry is not None:
             from repro.obs import wire
 
-            wire.wire_ring_driver(self._telemetry.registry, name, driver)
+            wire.wire_ring_driver(self._telemetry, name, driver)
 
     def syscall_reduction(self) -> float:
         """Fraction of syscall invocations served without a kernel crossing.

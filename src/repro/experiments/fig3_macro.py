@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.cloud.instances import EC2, GCE, CloudSite
 from repro.experiments.report import ExperimentResult, Row
-from repro.obs.registry import Registry
 from repro.platforms.registry import cloud_configurations
 from repro.workloads.base import ServerModel
 from repro.workloads.clients import ApacheBench, MemtierBenchmark
@@ -22,104 +21,65 @@ WORKLOADS = [
 ]
 SITES = (EC2, GCE)
 
-#: Metric names the measurement phase publishes and the table phase reads.
-THROUGHPUT_METRIC = "experiment_fig3_throughput_rps"
-LATENCY_METRIC = "experiment_fig3_latency_ms"
 
+def _measure_site(
+    site: CloudSite,
+) -> dict[str, dict[str, tuple[float, float] | None]]:
+    """Drive every workload × configuration on ``site``.
 
-def _measure_site(site: CloudSite, registry: Registry) -> list[str]:
-    """Drive every workload × configuration; publish absolute numbers as
-    ``experiment_fig3_*`` gauges (labels: site, workload, config).
-    Unsupported configurations publish nothing.  Returns the
-    configuration names in table order."""
-    costs = site.costs()
-    configs = cloud_configurations(costs)
+    Returns ``{workload: {config: (throughput, latency_ms)}}`` of
+    absolute means, both levels in table order; a configuration the
+    site cannot run measures ``None``."""
+    configs = cloud_configurations(site.costs())
+    measured: dict[str, dict[str, tuple[float, float] | None]] = {}
     for workload_name, profile, client_cls in WORKLOADS:
         client = client_cls(seed=f"fig3:{site.name}:{workload_name}")
+        pairs = measured[workload_name] = {}
         for config_name, platform in configs.items():
             if not site.supports(platform):
+                pairs[config_name] = None
                 continue
             report = client.drive(ServerModel(platform, site), profile)
-            scope = registry.child(
-                site=site.name, workload=workload_name, config=config_name
+            pairs[config_name] = (
+                report.mean_throughput, report.mean_latency_ms
             )
-            scope.gauge(
-                THROUGHPUT_METRIC,
-                help="absolute mean throughput, Fig 3 macrobenchmarks",
-            ).set(report.mean_throughput)
-            scope.gauge(
-                LATENCY_METRIC,
-                help="absolute mean latency, Fig 3 macrobenchmarks",
-            ).set(report.mean_latency_ms)
-    return list(configs)
+    return measured
 
 
-def run(
-    registry: Registry | None = None,
-) -> tuple[ExperimentResult, ExperimentResult]:
-    """Returns (relative throughput, relative latency) — Fig 3a and 3b.
-
-    All numbers flow through ``registry`` (one is created when not
-    given): measurement publishes absolute gauges, and the normalized
-    tables below are computed purely from registry reads — callers can
-    pass their own registry to export the absolute values alongside.
-    """
-    if registry is None:
-        registry = Registry()
-    throughput_rows = []
-    latency_rows = []
+def run() -> tuple[ExperimentResult, ExperimentResult]:
+    """Returns (relative throughput, relative latency) — Fig 3a and 3b,
+    each measured pair divided by patched Docker's on the same column."""
+    throughput_rows: dict[str, Row] = {}
+    latency_rows: dict[str, Row] = {}
     columns = []
     for site in SITES:
-        config_names = _measure_site(site, registry)
-        for workload_name, _profile, _client_cls in WORKLOADS:
+        for workload_name, pairs in _measure_site(site).items():
             column = f"{site.name}/{workload_name}"
             columns.append(column)
-
-            def read(metric: str, config: str) -> float | None:
-                try:
-                    return registry.value(
-                        metric,
-                        site=site.name,
-                        workload=workload_name,
-                        config=config,
-                    )
-                except KeyError:
-                    return None
-
-            docker_tp = read(THROUGHPUT_METRIC, "docker")
-            docker_lat = read(LATENCY_METRIC, "docker")
-            for config_name in config_names:
-                t_row = _row(throughput_rows, config_name)
-                l_row = _row(latency_rows, config_name)
-                tp = read(THROUGHPUT_METRIC, config_name)
-                lat = read(LATENCY_METRIC, config_name)
-                if tp is None or lat is None:
+            docker_tp, docker_lat = pairs["docker"]
+            for config_name, pair in pairs.items():
+                t_row = throughput_rows.setdefault(
+                    config_name, Row(config_name)
+                )
+                l_row = latency_rows.setdefault(config_name, Row(config_name))
+                if pair is None:
                     t_row.values[column] = None
                     l_row.values[column] = None
                 else:
-                    t_row.values[column] = tp / docker_tp
-                    l_row.values[column] = lat / docker_lat
+                    t_row.values[column] = pair[0] / docker_tp
+                    l_row.values[column] = pair[1] / docker_lat
     throughput = ExperimentResult(
         "fig3a",
         "Figure 3a: relative throughput (normalized to patched Docker; "
         "higher is better)",
         columns,
-        throughput_rows,
+        list(throughput_rows.values()),
     )
     latency = ExperimentResult(
         "fig3b",
         "Figure 3b: relative latency (normalized to patched Docker; "
         "lower is better)",
         columns,
-        latency_rows,
+        list(latency_rows.values()),
     )
     return throughput, latency
-
-
-def _row(rows: list[Row], label: str) -> Row:
-    for row in rows:
-        if row.label == label:
-            return row
-    row = Row(label)
-    rows.append(row)
-    return row

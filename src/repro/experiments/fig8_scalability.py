@@ -179,91 +179,17 @@ def curve(config: str) -> list[CurvePoint]:
     return out
 
 
-#: Metric name the curve phase publishes and the table phase reads.
-SCALABILITY_METRIC = "experiment_fig8_throughput_rps"
-
-#: Fleet sizes the execution-engine sweep boots (kept small: the sweep
-#: runs real guest code; the analytic curve still covers all of
-#: :data:`N_VALUES`).
-EXEC_SWEEP_N = (1, 10, 50)
-
-
-def _exec_sweep(n: int, engine_kind: str) -> dict[str, float]:
-    """Boot ``n`` real X-Container domains and drive a request wave.
-
-    Every published value is engine-invariant: running this under
-    ``hybrid`` and ``stepped`` produces identical numbers (the figure's
-    byte-identity contract, pinned by ``tests/experiments``)."""
-    from repro.core.engine import ExecutionEngine
-
-    engine = ExecutionEngine(hybrid=engine_kind == "hybrid")
-    for _ in range(n):
-        engine.spawn()
-    waves = 4
-    for wave in range(waves):
-        for domid in range(n):
-            units = 1 + (domid + wave) % 3
-            engine.post_work(
-                domid, units, at_ns=(1 + 10 * wave + domid % 7) * 1e6
-            )
-    engine.run_until((10 * waves + 10) * 1e6)
-    engine.run_to_quiescence()
-    return {
-        "units": float(engine.total_completed()),
-        "instructions": float(engine.stats.instructions),
-        "wake_events": float(engine.stats.wake_events),
-        "fastforward_ns": engine.stats.fastforward_ns,
-    }
-
-
-def run(registry=None, engine: str | None = None) -> ExperimentResult:
-    """All numbers flow through ``registry`` (one is created when not
-    given): each curve point lands as an ``experiment_fig8_*`` gauge
-    (labels: config, n) and the table is built from registry reads —
-    configurations that cannot boot at an N publish nothing there.
-
-    ``engine`` (``"hybrid"`` or ``"stepped"``) additionally boots real
-    X-Container fleets through :class:`repro.core.engine.ExecutionEngine`
-    at the :data:`EXEC_SWEEP_N` sizes and publishes the (engine-
-    invariant) ``experiment_fig8_exec_*`` gauges; the figure table is
-    identical with or without the sweep."""
-    from repro.obs.registry import Registry
-
-    if registry is None:
-        registry = Registry()
+def run() -> ExperimentResult:
+    """One row per N of :data:`N_VALUES`, one column per configuration's
+    :func:`curve`; a configuration that cannot boot at an N shows
+    ``n/a``."""
     configs = ("docker", "x-container", "xen-pv", "xen-hvm")
-    for config in configs:
-        for point in curve(config):
-            if point.throughput_rps is None:
-                continue
-            registry.gauge(
-                SCALABILITY_METRIC,
-                help="aggregate throughput vs container count, Fig 8",
-                config=config,
-                n=point.n,
-            ).set(point.throughput_rps)
-    if engine is not None:
-        if engine not in ("stepped", "hybrid"):
-            raise ValueError(
-                f"engine must be 'stepped' or 'hybrid': {engine!r}"
-            )
-        for n in EXEC_SWEEP_N:
-            for key, value in sorted(_exec_sweep(n, engine).items()):
-                registry.gauge(
-                    f"experiment_fig8_exec_{key}",
-                    help="real-fleet execution sweep behind Fig 8",
-                    n=n,
-                ).set(value)
-
-    def read(config: str, n: int) -> float | None:
-        try:
-            return registry.value(SCALABILITY_METRIC, config=config, n=n)
-        except KeyError:
-            return None
-
     rows = [
-        Row(str(n), {config: read(config, n) for config in configs})
-        for n in N_VALUES
+        Row(str(points[0].n), {
+            config: point.throughput_rps
+            for config, point in zip(configs, points)
+        })
+        for points in zip(*(curve(config) for config in configs))
     ]
     return ExperimentResult(
         "fig8",

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 
@@ -57,35 +54,6 @@ class ExperimentResult:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        """Machine-readable form for downstream plotting."""
-        return json.dumps(
-            {
-                "experiment": self.experiment,
-                "title": self.title,
-                "columns": self.columns,
-                "rows": [
-                    {"label": row.label, "values": row.values}
-                    for row in self.rows
-                ],
-                "notes": self.notes,
-            },
-            indent=2,
-            default=str,
-        )
-
-    def to_csv(self) -> str:
-        """One row per label with the experiment's columns."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["label", *self.columns])
-        for row in self.rows:
-            writer.writerow(
-                [row.label]
-                + [row.values.get(column) for column in self.columns]
-            )
-        return buffer.getvalue()
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -95,21 +63,3 @@ def _fmt(value) -> str:
             return f"{value:,.0f}"
         return f"{value:.2f}"
     return str(value)
-
-
-def relative_to(rows: list[Row], baseline_label: str,
-                columns: list[str]) -> list[Row]:
-    """Divide every numeric cell by the baseline row's cell."""
-    baseline = next(r for r in rows if r.label == baseline_label)
-    out = []
-    for row in rows:
-        values: dict[str, object] = {}
-        for column in columns:
-            value = row.values.get(column)
-            base = baseline.values.get(column)
-            if value is None or not base:
-                values[column] = None
-            else:
-                values[column] = value / base
-        out.append(Row(row.label, values))
-    return out

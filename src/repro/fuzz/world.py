@@ -226,12 +226,12 @@ class FuzzWorld:
         from repro.obs import wire
 
         self.registry = Registry()
-        self.net.bind_telemetry(self.registry, "net")
-        self.blk.bind_telemetry(self.registry, "blk")
+        wire.wire_ring_driver(self.registry, "net", self.net)
+        wire.wire_ring_driver(self.registry, "blk", self.blk)
         wire.wire_faults(self.registry, self.faults)
         # Only the hybrid fleet is bound (the metrics carry no engine
         # label; binding both would double-register the sched_* names).
-        self.fleet_hybrid.bind_telemetry(self.registry)
+        wire.wire_exec_engine(self.registry, self.fleet_hybrid)
         # -- bookkeeping ------------------------------------------------
         self._blk_shadow: dict[int, bytes] = {}
         self._net_requests = 0

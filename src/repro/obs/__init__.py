@@ -5,8 +5,8 @@ debugging tools keep working", applied to ourselves):
 
 * :class:`Registry` / :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — label-aware instruments with per-domain scoping
-  via child registries;
-* :class:`Telemetry` — the facade ``XContainer.telemetry()`` returns;
+  via child registries; ``XContainer.telemetry()`` returns a
+  ``Registry`` whose ``spans`` holds the container's trace recorder;
 * :class:`TraceRecorder` / ``registry.span(...)`` — the one trace
   recorder: spans and instant events on the simulated clock (the
   X-Kernel, ABOM, X-LibOS, trace cache and fault engine emit into it via
@@ -24,7 +24,6 @@ from repro.obs.exporters import (
     prometheus_text,
     render_table,
 )
-from repro.obs.facade import Telemetry
 from repro.obs.registry import (
     DEFAULT_NS_BUCKETS,
     Counter,
@@ -41,7 +40,6 @@ __all__ = [
     "Histogram",
     "Registry",
     "Span",
-    "Telemetry",
     "TraceEvent",
     "TraceRecorder",
     "chrome_trace_json",

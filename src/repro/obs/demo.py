@@ -16,7 +16,7 @@ from repro.core.xlibos import CountingServices
 from repro.faults import sites
 from repro.faults.plan import FaultPlan, FaultSpec, Nth
 from repro.obs import wire
-from repro.obs.facade import Telemetry
+from repro.obs.registry import Registry
 from repro.perf.clock import SimClock
 from repro.workloads.unixbench import build_syscall_bench
 from repro.workloads.wrk_functional import FunctionalWrk
@@ -33,8 +33,10 @@ def run_demo(
     seed: int = 1234,
     requests: int = 8,
     syscall_iters: int = 25,
-) -> Telemetry:
-    """Run the demo workload; returns the populated :class:`Telemetry`.
+) -> Registry:
+    """Run the demo workload; returns the container's populated
+    :class:`~repro.obs.registry.Registry` (its ``spans`` holds the
+    trace).
 
     Deterministic in ``(seed, requests, syscall_iters)`` — the fault plan
     seed is the only randomness source, and it only feeds probability
@@ -70,9 +72,9 @@ def run_demo(
         faults=engine,
     )
     xc.attach_io_driver("net0", driver)
-    wire.wire_grants(tel.registry, hv.grants)
-    wire.wire_events(tel.registry, events)
-    wire.wire_hypercall_table(tel.registry, hv.hypercalls)
+    wire.wire_grants(tel, hv.grants)
+    wire.wire_events(tel, events)
+    wire.wire_hypercall_table(tel, hv.hypercalls)
     for train in DEMO_TRAINS:
         with tel.span("netfront.tx", descriptors=len(train)):
             driver.transmit_batch(train)

@@ -30,6 +30,12 @@ Scoping: :meth:`Registry.child` returns a view that stamps extra labels
 (``domain="xc0"``, ``component="http"``) on every instrument it creates,
 while sharing the root's store — so one snapshot covers every layer.
 
+Spans: a registry whose :attr:`Registry.spans` holds a
+:class:`~repro.obs.tracing.TraceRecorder` (``XContainer.telemetry()``
+sets one on the container's clock) opens label-scoped spans through
+:meth:`Registry.span` and adds the span aggregate to
+:meth:`Registry.snapshot`.
+
 Naming convention (see ``docs/telemetry.md``): ``layer_component_unit``,
 e.g. ``arch_icache_hits_total``, ``xen_grant_copies_total``,
 ``net_http_request_latency_ns``.
@@ -40,6 +46,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Iterator, Mapping
+
+from repro.obs.tracing import TraceRecorder
 
 #: Fixed log-scale nanosecond buckets: 16 ns · 4^k for k in [0, 13]
 #: (16 ns … ~17 min), the span between one interpreted instruction and
@@ -340,8 +348,8 @@ class Registry:
         self._scope = _canon_labels(labels)
         self._instruments: dict[tuple[str, LabelItems], Instrument] = {}
         self._families: list[_BoundFamily] = []
-        #: Shared trace recorder (installed by the Telemetry facade).
-        self.spans = None
+        #: Shared trace recorder; ``None`` means no spans (see :meth:`span`).
+        self.spans: TraceRecorder | None = None
 
     # -- scoping -------------------------------------------------------
     def child(self, **labels: object) -> "Registry":
@@ -450,13 +458,12 @@ class Registry:
         """Open a span scoped with this registry's labels.
 
         ``registry.span("netfront.tx", domain="xc0")`` — requires a
-        :class:`~repro.obs.tracing.TraceRecorder` (installed by the
-        :class:`~repro.obs.facade.Telemetry` facade).
+        :class:`~repro.obs.tracing.TraceRecorder` in :attr:`spans`.
         """
         if self.spans is None:
             raise RuntimeError(
-                "no span recorder attached (create this registry via "
-                "repro.obs.Telemetry to enable tracing)"
+                "no span recorder attached (set registry.spans to a "
+                "repro.obs.TraceRecorder to enable tracing)"
             )
         merged = dict(self._scope)
         merged.update({k: str(v) for k, v in labels.items()})
@@ -517,8 +524,12 @@ class Registry:
              "gauges":   {...},
              "histograms": {"name{k=v}": {"count": n, "sum": s,
                                           "mean": m,
-                                          "buckets": {"16": c, ...}}}}
+                                          "buckets": {"16": c, ...}}},
+             "spans": {"finished": n, "dropped": d,
+                       "by_name": {"name": {"count": n,
+                                            "total_ns": t}}}}
 
+        ``spans`` is present only when :attr:`spans` holds a recorder.
         Keys are rendered ``name{label=value,...}`` strings sorted
         lexicographically, so two runs with the same history produce
         byte-identical JSON.
@@ -545,11 +556,26 @@ class Registry:
                 gauges[key] = _num(sample.value)
             else:
                 counters[key] = _num(sample.value)
-        return {
+        snap: dict[str, Any] = {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
         }
+        if self.spans is not None:
+            spans = self.spans.spans()
+            by_name: dict[str, dict[str, float]] = {}
+            for span in spans:
+                agg = by_name.setdefault(
+                    span.name, {"count": 0, "total_ns": 0.0}
+                )
+                agg["count"] += 1
+                agg["total_ns"] += span.duration_ns
+            snap["spans"] = {
+                "finished": len(spans),
+                "dropped": self.spans.dropped,
+                "by_name": dict(sorted(by_name.items())),
+            }
+        return snap
 
 
 def _num(value: float) -> float | int:

@@ -165,11 +165,13 @@ class TraceRecorder:
         self._overflow_warned = False
 
     def render(self, limit: int = 50) -> str:
-        """Deterministic fixed-width span table (``repro trace``)."""
+        """Deterministic fixed-width span table (``repro trace``): the
+        header, then the last ``limit`` finished spans."""
         lines = [
             f"{'id':>6} {'parent':>6} {'start us':>14} {'dur us':>12}  name",
         ]
-        for span in self.spans()[-limit:]:
+        spans = self.spans()
+        for span in spans[max(len(spans) - limit, 0):]:
             parent = str(span.parent_id) if span.parent_id else "-"
             labels = " ".join(f"{k}={v}" for k, v in span.labels)
             name = f"{span.name} {labels}".rstrip()

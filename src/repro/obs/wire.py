@@ -4,9 +4,12 @@ One function per substrate, each registering *bound* instruments that
 read the substrate's existing stats struct lazily at collection time —
 the hot paths keep their plain attribute increments, so wiring telemetry
 cannot change simulated bytes or costs.  Everything here is duck-typed:
-this module imports no substrate code, substrates call in through their
-``bind_telemetry(registry)`` methods (or the :class:`~repro.core.
-xcontainer.XContainer` constructor does it for them).
+this module imports no substrate code.  Whoever builds a substrate
+calls its ``wire_*`` function directly:
+:meth:`~repro.core.xcontainer.XContainer.telemetry` wires the vCPUs,
+X-Kernel, ABOM, X-LibOS, attached split drivers and fault engine;
+``FuzzWorld`` and :mod:`repro.obs.demo` wire the Xen substrates they
+build.
 
 The metric names below are the single source of truth for the
 ``layer_component_unit`` convention documented in ``docs/telemetry.md``.
@@ -397,6 +400,19 @@ def wire_netstack(registry: Registry, netstack: Any) -> None:
         "net_stack_reorders_total", lambda: stats.reorders,
         help="injected out-of-order segments re-queued",
     )
+
+
+def wire_ipvs(registry: Registry, ipvs: Any) -> None:
+    """``serve_ipvs_*`` counters over an IPVS director's ``IpvsStats``."""
+    stats = ipvs.stats
+    for field in (
+        "scheduled", "conns_opened", "conns_closed", "conns_failed",
+        "servers_added", "servers_removed", "backend_deaths",
+    ):
+        registry.bind(
+            f"serve_ipvs_{field}_total",
+            (lambda f=field: getattr(stats, f)),
+        )
 
 
 def wire_http_server(registry: Registry, server: Any) -> None:

@@ -36,7 +36,6 @@ from repro.sanitize.race import RaceDetector
 
 if TYPE_CHECKING:
     from repro.arch.memory import PagedMemory
-    from repro.obs.registry import Registry
 
 
 class SanitizerSuite:
@@ -234,8 +233,3 @@ class SanitizerSuite:
             ("event_deliveries", rings.event_deliveries),
             ("ring_findings", len(rings.findings)),
         )
-
-    def bind_telemetry(self, registry: Registry) -> None:
-        from repro.obs.wire import wire_sanitizers
-
-        wire_sanitizers(registry, self)

@@ -27,8 +27,8 @@ from repro.faults import sites
 from repro.faults.plan import FaultEngine, FaultPlan
 from repro.guest.ipvs import IpvsMode, IpvsStats
 from repro.lb.cluster import LoadBalancedCluster
-from repro.obs import Telemetry
-from repro.obs.registry import Histogram
+from repro.obs import wire
+from repro.obs.registry import Histogram, Registry
 from repro.perf.clock import SimClock
 from repro.perf.rand import DeterministicRng
 from repro.platforms.x_container import XContainerPlatform
@@ -102,7 +102,7 @@ class ServeResult:
     #: Engine-invariant rollup of the real stepped backend domains
     #: (:class:`repro.serve.domains.ServeDomainFleet`).
     fleet_exec: dict | None = None
-    telemetry: Telemetry | None = field(
+    telemetry: Registry | None = field(
         repr=False, compare=False, default=None
     )
 
@@ -132,8 +132,7 @@ class ServeEngine:
     def run(self) -> ServeResult:
         sc = self.scenario
         clock = SimClock()
-        telemetry = Telemetry(clock=clock, scenario=sc.name)
-        registry = telemetry.registry
+        registry = Registry(scenario=sc.name)
 
         cluster = LoadBalancedCluster(
             n_backends=sc.backends, backend_profile=sc.backend_profile
@@ -152,7 +151,7 @@ class ServeEngine:
         )
 
         fleet = BackendFleet(cluster, platform, sc.mode, sc.scheduler)
-        self._bind_ipvs(registry, fleet)
+        wire.wire_ipvs(registry, fleet.ipvs)
 
         # Every live backend is a real stepped domain on its own engine
         # clock; the exec fleet lives in the parent process so worker
@@ -460,7 +459,7 @@ class ServeEngine:
             slo_ok=slo_ok,
             fault_counters=fault_counters,
             fleet_exec=exec_fleet.summary(),
-            telemetry=telemetry,
+            telemetry=registry,
         )
 
     @staticmethod
@@ -497,19 +496,3 @@ class ServeEngine:
             key=lambda b: (fleet.active_conns(b), -b),
         )
         return ranked[:amount]
-
-    @staticmethod
-    def _bind_ipvs(registry, fleet: BackendFleet) -> None:
-        stats = fleet.ipvs.stats
-        for name, fn in (
-            ("serve_ipvs_scheduled_total", lambda: stats.scheduled),
-            ("serve_ipvs_conns_opened_total", lambda: stats.conns_opened),
-            ("serve_ipvs_conns_closed_total", lambda: stats.conns_closed),
-            ("serve_ipvs_conns_failed_total", lambda: stats.conns_failed),
-            ("serve_ipvs_servers_added_total", lambda: stats.servers_added),
-            ("serve_ipvs_servers_removed_total",
-             lambda: stats.servers_removed),
-            ("serve_ipvs_backend_deaths_total",
-             lambda: stats.backend_deaths),
-        ):
-            registry.bind(name, fn, kind="counter")

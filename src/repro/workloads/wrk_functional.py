@@ -53,7 +53,7 @@ class FunctionalWrk:
         self.client = HttpClient(
             client_kernel, self.network, self.server.handle_one
         )
-        #: Optional :class:`repro.obs.Telemetry` (or scoped registry);
+        #: Optional :class:`repro.obs.Registry` with a span recorder;
         #: when set, :meth:`run` records a per-request latency histogram
         #: and an ``http.request`` span per request, and the server's and
         #: server kernel netstack's counters are bound lazily.
@@ -61,9 +61,8 @@ class FunctionalWrk:
         if telemetry is not None:
             from repro.obs import wire
 
-            registry = getattr(telemetry, "registry", telemetry)
-            wire.wire_http_server(registry, self.server)
-            wire.wire_netstack(registry, server_kernel.netstack)
+            wire.wire_http_server(telemetry, self.server)
+            wire.wire_netstack(telemetry, server_kernel.netstack)
 
     def run(self, requests: int = 100) -> WrkRunReport:
         if requests < 1:

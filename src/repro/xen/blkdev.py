@@ -172,12 +172,6 @@ class SplitBlockDriver:
                 self._ring_name, 256, 16
             )
 
-    def bind_telemetry(self, registry, name: str = "blk") -> None:
-        """Expose the ``xen_ring_*`` metrics with ``driver=name``."""
-        from repro.obs import wire
-
-        wire.wire_ring_driver(registry, name, self)
-
     def _ring_entry(self, op: str) -> None:
         """Fault hook at ring submission."""
         if not self.backend_alive:

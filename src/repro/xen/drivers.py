@@ -137,12 +137,6 @@ class SplitNetDriver:
     def _on_backend_kick(self) -> None:
         self.stats.kicks += 1
 
-    def bind_telemetry(self, registry, name: str = "net") -> None:
-        """Expose the ``xen_ring_*`` metrics with ``driver=name``."""
-        from repro.obs import wire
-
-        wire.wire_ring_driver(registry, name, self)
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

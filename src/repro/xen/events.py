@@ -75,12 +75,6 @@ class EventChannelTable:
         #: registers that domain's wake event with the engine.
         self.waker = None
 
-    def bind_telemetry(self, registry) -> None:
-        """Expose the ``xen_evtchn_*`` metrics on ``registry``."""
-        from repro.obs import wire
-
-        wire.wire_events(registry, self)
-
     def bind(self, handler: Callable[[], None]) -> int:
         port = self._next_port
         self._next_port += 1

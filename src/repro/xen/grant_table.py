@@ -66,12 +66,6 @@ class GrantTable:
         #: Per-copy hypercalls saved by batching.
         self.copy_hypercalls_saved = 0
 
-    def bind_telemetry(self, registry) -> None:
-        """Expose the ``xen_grant_*`` metrics on ``registry``."""
-        from repro.obs import wire
-
-        wire.wire_grants(registry, self)
-
     def grant_access(self, owner_domid: int, page_addr: int) -> int:
         ref = self._next_ref
         self._next_ref += 1

@@ -21,6 +21,7 @@ from repro.faults import sites
 from repro.faults.plan import Every, FaultEngine, FaultPlan, FaultSpec, Nth
 from repro.obs import prometheus_text
 from repro.obs.registry import Registry
+from repro.obs.wire import wire_exec_engine
 from repro.sanitize.suite import SanitizerSuite
 
 
@@ -34,8 +35,8 @@ def _pair(**kwargs):
 def _assert_identical(a: ExecutionEngine, b: ExecutionEngine) -> None:
     assert a.snapshot() == b.snapshot()
     ra, rb = Registry(), Registry()
-    a.bind_telemetry(ra)
-    b.bind_telemetry(rb)
+    wire_exec_engine(ra, a)
+    wire_exec_engine(rb, b)
     assert prometheus_text(ra) == prometheus_text(rb)
 
 

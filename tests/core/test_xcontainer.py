@@ -2,6 +2,7 @@ import pytest
 
 from repro.arch import Assembler, Reg
 from repro.core import CountingServices, DockerImage, DockerWrapper, XContainer
+from repro.obs import Registry
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
@@ -39,6 +40,9 @@ class TestXContainer:
         asm.hlt()
         xc.run(asm.build())
         assert clock.now_ns > 0
+        tel = xc.telemetry()
+        assert isinstance(tel, Registry)
+        assert tel.spans.clock is xc.clock is clock
 
 
 class TestDockerWrapper:

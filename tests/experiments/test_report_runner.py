@@ -1,6 +1,6 @@
 import pytest
 
-from repro.experiments.report import ExperimentResult, Row, relative_to
+from repro.experiments.report import ExperimentResult, Row
 from repro.experiments.runner import experiment_ids, run_experiment
 
 
@@ -35,16 +35,6 @@ class TestReport:
             "t", "T", ["v"], [Row("r", {"v": 123456.0})]
         )
         assert "123,456" in result.format_table()
-
-    def test_relative_to(self):
-        rows = [
-            Row("base", {"a": 10.0}),
-            Row("x", {"a": 25.0}),
-            Row("none", {"a": None}),
-        ]
-        rel = relative_to(rows, "base", ["a"])
-        assert rel[1].values["a"] == 2.5
-        assert rel[2].values["a"] is None
 
 
 class TestRunner:
@@ -96,26 +86,3 @@ class TestRunner:
         assert results[0].experiment == "spawn"
         results = run_experiment("fig9")
         assert results[0].rows
-
-
-class TestExports:
-    def _result(self):
-        return ExperimentResult(
-            "t", "Title", ["a"],
-            [Row("x", {"a": 1.5}), Row("y", {"a": None})],
-        )
-
-    def test_json_roundtrip(self):
-        import json
-
-        data = json.loads(self._result().to_json())
-        assert data["experiment"] == "t"
-        assert data["rows"][0]["values"]["a"] == 1.5
-        assert data["rows"][1]["values"]["a"] is None
-
-    def test_csv_shape(self):
-        text = self._result().to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "label,a"
-        assert lines[1] == "x,1.5"
-        assert lines[2] == "y,"

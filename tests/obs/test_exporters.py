@@ -6,10 +6,12 @@ workload ``repro metrics`` / ``repro trace`` run.  If an intentional
 change shifts the output, regenerate them with::
 
     PYTHONPATH=src python -c "
+    from repro.obs import chrome_trace_json, prometheus_text
     from repro.obs.demo import run_demo
     tel = run_demo(seed=1234, requests=8, syscall_iters=25)
-    open('tests/obs/golden/metrics.prom', 'w').write(tel.prometheus_text())
-    open('tests/obs/golden/trace.json', 'w').write(tel.chrome_trace_json())"
+    open('tests/obs/golden/metrics.prom', 'w').write(prometheus_text(tel))
+    open('tests/obs/golden/trace.json', 'w').write(
+        chrome_trace_json(tel.spans))"
 """
 
 import json
@@ -88,16 +90,18 @@ class TestGoldenFiles:
     def test_prometheus_matches_fixture(self):
         tel = run_demo(seed=1234, requests=8, syscall_iters=25)
         expected = (GOLDEN / "metrics.prom").read_text()
-        assert tel.prometheus_text() == expected
+        assert prometheus_text(tel) == expected
 
     def test_chrome_trace_matches_fixture(self):
         tel = run_demo(seed=1234, requests=8, syscall_iters=25)
         expected = (GOLDEN / "trace.json").read_text()
-        assert tel.chrome_trace_json() == expected
+        assert chrome_trace_json(tel.spans) == expected
 
     def test_demo_is_deterministic_across_runs(self):
         first = run_demo(seed=7, requests=3, syscall_iters=5)
         second = run_demo(seed=7, requests=3, syscall_iters=5)
-        assert first.prometheus_text() == second.prometheus_text()
-        assert first.chrome_trace_json() == second.chrome_trace_json()
+        assert prometheus_text(first) == prometheus_text(second)
+        assert chrome_trace_json(first.spans) == chrome_trace_json(
+            second.spans
+        )
         assert first.snapshot() == second.snapshot()

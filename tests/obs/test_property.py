@@ -13,6 +13,7 @@ from repro.arch.assembler import Assembler
 from repro.arch.registers import Reg
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
+from repro.obs import prometheus_text, render_table, wire
 from repro.obs.registry import Registry
 
 OPS = st.lists(
@@ -56,8 +57,8 @@ class TestTelemetryNeutrality:
             if telemetry_on:
                 # Exports mid-workload must be pure reads too.
                 tel.snapshot()
-                tel.prometheus_text()
-                tel.render_table()
+                prometheus_text(tel)
+                render_table(tel)
             return (
                 result.instructions,
                 result.elapsed_ns,
@@ -98,9 +99,9 @@ class TestTelemetryNeutrality:
             registry = None
             if wired:
                 registry = Registry()
-                driver.bind_telemetry(registry, "eth0")
-                events.bind_telemetry(registry)
-                xen.grants.bind_telemetry(registry)
+                wire.wire_ring_driver(registry, "eth0", driver)
+                wire.wire_events(registry, events)
+                wire.wire_grants(registry, xen.grants)
             costs = [driver.transmit_batch(train) for train in trains]
             if wired:
                 registry.snapshot()

@@ -8,6 +8,8 @@ from repro.obs.registry import (
     format_value,
     render_sample_key,
 )
+from repro.obs.tracing import TraceRecorder
+from repro.perf.clock import SimClock
 
 
 class TestCounter:
@@ -182,6 +184,26 @@ class TestSnapshot:
         assert snap["gauges"] == {"a": 1.5}
         assert snap["histograms"]["h_ns"]["count"] == 1
         assert snap == registry.snapshot()
+
+    def test_span_aggregate_only_with_a_recorder(self):
+        registry = Registry()
+        assert "spans" not in registry.snapshot()
+        clock = SimClock()
+        registry.spans = TraceRecorder(clock, capacity=3)
+        with pytest.warns(RuntimeWarning, match="overflowed"):
+            for name, ns in (("b", 5.0), ("b", 10.0), ("a", 1.0), ("b", 2.5)):
+                with registry.span(name):
+                    clock.advance(ns)
+        spans = registry.snapshot()["spans"]
+        assert spans == {
+            "finished": 3,
+            "dropped": 1,
+            "by_name": {
+                "a": {"count": 1, "total_ns": 1.0},
+                "b": {"count": 2, "total_ns": 12.5},
+            },
+        }
+        assert list(spans["by_name"]) == ["a", "b"]
 
     def test_integral_floats_render_without_decimal(self):
         assert format_value(5.0) == "5"

@@ -151,6 +151,7 @@ class TestSuiteWiring:
 
     def test_telemetry_binding_exposes_sanitize_counters(self):
         from repro.obs.registry import Registry
+        from repro.obs.wire import wire_sanitizers
 
         suite = SanitizerSuite()
         name = suite.ring_register("t", 4, 16)
@@ -159,7 +160,7 @@ class TestSuiteWiring:
         suite.ring_kick(name, "a")
         suite.ring_reap(name, "b", 1)
         registry = Registry()
-        suite.bind_telemetry(registry)
+        wire_sanitizers(registry, suite)
         assert registry.value("sanitize_ring_publishes_total") == 1
         assert registry.value("sanitize_ring_consumes_total") == 1
         assert (

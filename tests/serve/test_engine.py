@@ -207,6 +207,6 @@ class TestAccounting:
 
     def test_telemetry_histogram_matches_completions(self):
         report = run_serve(small_scenario(IpvsMode.NAT), seed=0)
-        registry = report.result.telemetry.registry
+        registry = report.result.telemetry
         hist = registry.histogram("serve_request_latency_ns")
         assert hist.count == report.result.completed

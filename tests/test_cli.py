@@ -40,7 +40,7 @@ class TestCli:
         assert capsys.readouterr().out == EXPERIMENTS_OUTPUT.read_text()
 
     def test_unknown_experiment_errors(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="unknown experiment"):
             main(["experiments", "fig99"])
 
     def test_parser_requires_command(self):
@@ -258,6 +258,21 @@ class TestSharedOutputSurface:
             assert args.format == "json"
             assert args.output is None
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--limit", "-3"],
+        ["fuzz", "--max-examples", "0"],
+        ["fuzz", "--steps", "0"],
+        ["metrics", "--requests", "0"],
+        ["trace", "--requests", "-2"],
+        ["abom-demo", "--iterations", "0"],
+        ["abom-demo", "--iterations", "-1"],
+    ])
+    def test_out_of_range_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_table_lists_unified_metrics(self, capsys):
@@ -308,6 +323,8 @@ class TestTraceCommand:
         assert main(["trace", "--limit", "2"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 3  # header + 2 spans
+        assert main(["trace", "--limit", "0"]) == 0
+        assert capsys.readouterr().out.strip() == out[0]  # header only
 
 
 class TestServeCommand:

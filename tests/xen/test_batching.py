@@ -358,7 +358,7 @@ class TestXContainerIoStats:
         assert tel.value("xen_ring_batches_total", driver="xvda") == 1
         assert {
             dict(sample.labels)["driver"]
-            for sample in tel.registry.collect()
+            for sample in tel.collect()
             if sample.name == "xen_ring_batches_total"
         } == {"eth0", "xvda"}
         # Lives alongside the decode-cache counters.
