@@ -4,10 +4,10 @@
 No cost-model shortcuts here — actual requests flow through actual
 components:
 
-1. an image registry materializes an NGINX rootfs into an X-Container's
-   LibOS, whose Docker wrapper boots it;
-2. a functional HTTP server serves pages out of that RamFS over the
-   virtual network to a wrk-style client;
+1. the Docker wrapper boots an NGINX image as an X-Container whose
+   X-LibOS spawns the entrypoint directly;
+2. a functional HTTP server serves pages out of that X-LibOS's RamFS
+   over the virtual network to a wrk-style client;
 3. a PHP+MiniDB pair renders dynamic pages in the Dedicated and Merged
    (same-container loopback) deployments of Figure 7, showing the
    simulated-time gap the paper's Fig 6c measures.
@@ -15,7 +15,9 @@ components:
 Run: ``python examples/full_stack.py``
 """
 
-from repro.core import DockerWrapper, demo_images
+from repro.core import DockerImage, DockerWrapper
+from repro.guest.config import KernelConfig
+from repro.guest.kernel import GuestKernel, HypercallMmu
 from repro.guest.socket import VirtualNetwork
 from repro.perf.clock import SimClock
 from repro.workloads.http import HttpClient, StaticHttpServer
@@ -28,15 +30,23 @@ from repro.workloads.php_mysql_app import (
 def serve_static_site() -> None:
     print("=" * 64)
     print("1. image -> X-Container -> HTTP served over the virtual net")
-    wrapper = DockerWrapper(fast_toolstack=True, registry=demo_images())
-    container, kernel, timing = wrapper.spawn_image("nginx:1.13")
+    wrapper = DockerWrapper(fast_toolstack=True)
+    kernel = GuestKernel(
+        KernelConfig.xlibos(),
+        wrapper.costs,
+        wrapper.clock,
+        mmu=HypercallMmu(wrapper.costs, wrapper.clock),
+    )
+    container, timing = wrapper.spawn(
+        DockerImage("nginx", "/usr/sbin/nginx"), services=kernel
+    )
+    # The bootloader spawns the entrypoint process directly (§4.5).
+    kernel.spawn("/usr/sbin/nginx")
     print(f"   spawned {container.name} in {timing.total_ms:.0f} ms "
           f"(boot {timing.boot_ms:.0f} ms)")
     network = VirtualNetwork(clock=container.clock)
     server = StaticHttpServer(kernel, network, ("10.0.0.1", 80))
     server.publish("/index.html", b"<h1>served from an X-Container</h1>")
-    from repro.guest.kernel import GuestKernel
-
     client_kernel = GuestKernel(clock=container.clock)
     client = HttpClient(client_kernel, network, server.handle_one)
     for path in ("/index.html", "/index.html", "/missing.html"):

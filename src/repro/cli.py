@@ -83,6 +83,18 @@ def _at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def _text_file(path: str) -> str:
+    """An argparse ``type=`` that reads a text file; argparse turns a
+    path that cannot be opened into a usage error (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"can't open {path!r}: {exc.strerror}"
+        ) from exc
+
+
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import experiment_ids, run_experiment
 
@@ -233,8 +245,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         from repro.fuzz.replay import replay_steps
         from repro.fuzz.steps import loads
 
-        with open(args.replay, encoding="utf-8") as handle:
-            world_seed, steps = loads(handle.read())
+        world_seed, steps = loads(args.replay)
         trace = replay_steps(steps, world_seed=world_seed)
         _emit(args, trace)
         return 0 if "\noutcome: clean\n" in trace else 1
@@ -281,10 +292,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"unknown serve scenario {args.scenario!r} (known: {known})"
         )
-    report = run_serve(
-        args.scenario, seed=args.seed, workers=args.workers,
-        engine=args.engine,
-    )
+    report = run_serve(args.scenario, seed=args.seed, workers=args.workers)
     if args.prometheus:
         _emit(args, prometheus_text(report.result.telemetry))
     else:
@@ -459,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list the scenario catalog"
     )
     chaos.add_argument(
-        "--replay", metavar="STEPS_JSON", default=None,
+        "--replay", metavar="STEPS_JSON", type=_text_file, default=None,
         help="replay a serialized fuzzer step sequence (repro fuzz "
              "output) on a fresh world and print the deterministic trace",
     )
@@ -502,15 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run seed; same seed + same scenario replays byte-identically",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(1), default=None,
         help="worker processes for the arrival shards (default: host "
              "cores; never changes results, only wall-clock speed)",
-    )
-    serve.add_argument(
-        "--engine", choices=("stepped", "hybrid"), default="hybrid",
-        help="backend-domain execution engine: 'hybrid' fast-forwards "
-             "parked domains on the wake-event queue, 'stepped' walks "
-             "every tick (the oracle; byte-identical results)",
     )
     serve.add_argument(
         "--prometheus", action="store_true",

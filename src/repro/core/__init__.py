@@ -22,8 +22,6 @@ from repro.core.xkernel import XKernel
 from repro.core.xlibos import XLibOS, CountingServices
 from repro.core.xcontainer import XContainer
 from repro.core.docker_wrapper import DockerWrapper, DockerImage
-from repro.core.patch_cache import PatchCache
-from repro.core.images import ImageManifest, ImageRegistry, Layer, demo_images
 from repro.core import tcb
 
 __all__ = [
@@ -38,10 +36,5 @@ __all__ = [
     "XContainer",
     "DockerWrapper",
     "DockerImage",
-    "PatchCache",
-    "ImageManifest",
-    "ImageRegistry",
-    "Layer",
-    "demo_images",
     "tcb",
 ]

@@ -52,16 +52,12 @@ class DockerWrapper:
         costs: CostModel | None = None,
         clock: SimClock | None = None,
         fast_toolstack: bool = False,
-        registry=None,
     ) -> None:
         self.costs = costs or CostModel()
         self.clock = clock if clock is not None else SimClock()
         #: LightVM's streamlined toolstack "can be also applied to
         #: X-Containers" (§4.5) — off by default, matching the prototype.
         self.fast_toolstack = fast_toolstack
-        #: Optional :class:`repro.core.images.ImageRegistry` for
-        #: :meth:`spawn_image`.
-        self.registry = registry
         self.spawned: list[tuple[DockerImage, SpawnTiming]] = []
 
     def spawn(
@@ -98,46 +94,6 @@ class DockerWrapper:
         )
         self.spawned.append((image, timing))
         return container, timing
-
-    def spawn_image(
-        self,
-        reference: str,
-        vcpus: int = 1,
-        memory_mb: int = 128,
-        abom_enabled: bool = True,
-    ):
-        """Bootstrap an X-Container from a registry image.
-
-        Pulls the manifest, materializes the layered rootfs into a fresh
-        X-LibOS's filesystem (over a device-mapper snapshot, §5.1), and
-        spawns the container with that kernel as its services backend.
-        Returns ``(container, kernel, timing)``.
-        """
-        if self.registry is None:
-            raise RuntimeError("DockerWrapper has no image registry")
-        from repro.guest.config import KernelConfig
-        from repro.guest.kernel import GuestKernel, HypercallMmu
-
-        manifest = self.registry.pull(reference)
-        kernel = GuestKernel(
-            KernelConfig.xlibos(),
-            self.costs,
-            self.clock,
-            mmu=HypercallMmu(self.costs, self.clock),
-        )
-        rootfs, _snapshot = self.registry.materialize(reference)
-        kernel.vfs = rootfs
-        image = DockerImage(manifest.name, manifest.entrypoint)
-        container, timing = self.spawn(
-            image,
-            services=kernel,
-            vcpus=vcpus,
-            memory_mb=memory_mb,
-            abom_enabled=abom_enabled,
-        )
-        # The bootloader spawns the entrypoint process directly (§4.5).
-        kernel.spawn(manifest.entrypoint)
-        return container, kernel, timing
 
     def ordinary_vm_spawn_ms(self) -> float:
         """What booting the same image as a full VM would cost (§4.5)."""

@@ -24,8 +24,6 @@ from repro.guest.netstack import NetStack, NetDevice
 from repro.guest.netfilter import Netfilter
 from repro.guest.ipvs import IPVS, IpvsMode
 from repro.guest.signals import Disposition, SignalSubsystem
-from repro.guest.seccomp import SeccompFilter, docker_default_profile
-from repro.guest.rdma import RdmaProvider, SoftRdmaDevice
 from repro.guest.socket import SocketLayer, VirtualNetwork
 from repro.guest.minidb import MiniDB
 
@@ -47,10 +45,6 @@ __all__ = [
     "IpvsMode",
     "Disposition",
     "SignalSubsystem",
-    "SeccompFilter",
-    "docker_default_profile",
-    "RdmaProvider",
-    "SoftRdmaDevice",
     "SocketLayer",
     "VirtualNetwork",
     "MiniDB",

@@ -14,9 +14,10 @@ Unit quantization bounds the interpreter cost: one work unit represents
 ``max(backend_service_ns, interval_ns / 32)`` of busy time, so a backend
 never runs more than ~32 guest bursts per interval no matter how hot it
 is.  Everything in :meth:`ServeDomainFleet.summary` is engine-invariant
-(identical under ``--engine hybrid`` and ``--engine stepped``), which is
-what lets the serve report include it without breaking the CI
-byte-identity comparison between the two engines.
+(identical under ``run_serve(engine="hybrid")`` and
+``run_serve(engine="stepped")``), which is what lets the serve report
+include it without breaking the byte-identity test between the two
+engines.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ baselines (Xen-Container / LightVM, Xen PV & HVM instances in Fig 8) need:
 * :mod:`repro.xen.grant_table` — shared-memory grants for split drivers;
 * :mod:`repro.xen.drivers` — the netfront/netback split driver model;
 * :mod:`repro.xen.scheduler` — the credit vCPU scheduler (Fig 8);
-* :mod:`repro.xen.toolstack` — ``xl`` domain lifecycle timing (§4.5);
-* :mod:`repro.xen.blanket` — Xen-Blanket for nested public-cloud use.
+* :mod:`repro.xen.toolstack` — ``xl`` domain lifecycle timing (§4.5).
 """
 
 from repro.xen.hypervisor import Domain, DomainKind, XenHypervisor
@@ -25,7 +24,6 @@ from repro.xen.drivers import (
 )
 from repro.xen.scheduler import CreditScheduler, VCpu
 from repro.xen.toolstack import Toolstack
-from repro.xen.blanket import XenBlanket
 from repro.xen.migration import (
     Checkpoint,
     LiveMigration,
@@ -33,18 +31,7 @@ from repro.xen.migration import (
     checkpoint_memory,
     restore_memory,
 )
-from repro.xen.memory_mgmt import (
-    BalloonDriver,
-    BalloonError,
-    TranscendentMemory,
-)
-from repro.xen.xenstore import XenStore, XsTransaction
-from repro.xen.blkdev import (
-    BlockStats,
-    BlockStore,
-    SnapshotStore,
-    SplitBlockDriver,
-)
+from repro.xen.blkdev import BlockStats, BlockStore, SplitBlockDriver
 from repro.xen.remus import RemusReplicator
 
 __all__ = [
@@ -60,20 +47,13 @@ __all__ = [
     "CreditScheduler",
     "VCpu",
     "Toolstack",
-    "XenBlanket",
     "Checkpoint",
     "LiveMigration",
     "MigrationReport",
     "checkpoint_memory",
     "restore_memory",
-    "BalloonDriver",
-    "BalloonError",
-    "TranscendentMemory",
-    "XenStore",
-    "XsTransaction",
     "BlockStats",
     "BlockStore",
-    "SnapshotStore",
     "SplitBlockDriver",
     "RemusReplicator",
 ]

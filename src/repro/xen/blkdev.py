@@ -5,8 +5,6 @@ every configuration; X-Containers and Xen-Containers additionally route
 block I/O through the blkfront/blkback ring.  The model provides:
 
 * :class:`BlockStore` — a sector-addressed RAM-backed disk;
-* :class:`SnapshotStore` — copy-on-write snapshot over a base store
-  (the device-mapper thin-snapshot behaviour Docker images rely on);
 * :class:`SplitBlockDriver` — the ring between a guest and the backend,
   charging per-request and per-byte costs.
 
@@ -70,29 +68,6 @@ class BlockStore:
 
     @property
     def allocated_sectors(self) -> int:
-        return len(self._sectors)
-
-
-class SnapshotStore(BlockStore):
-    """Copy-on-write snapshot over a base store (device-mapper thin).
-
-    Reads fall through to the base until a sector is written; container
-    layers share the base image's sectors until they diverge.
-    """
-
-    def __init__(self, base: BlockStore) -> None:
-        super().__init__(base.capacity_sectors)
-        self.base = base
-
-    def read_sector(self, sector: int) -> bytes:
-        self._check(sector)
-        if sector in self._sectors:
-            return self._sectors[sector]
-        return self.base.read_sector(sector)
-
-    @property
-    def cow_sectors(self) -> int:
-        """Sectors this snapshot has diverged on."""
         return len(self._sectors)
 
 

@@ -59,9 +59,10 @@ class TestDeterminism:
         b = run_serve("ci-small", seed=1).render()
         assert a != b
 
-    def test_hybrid_and_stepped_engines_are_byte_identical(self):
-        hybrid = run_serve("ci-small", seed=0, engine="hybrid")
-        stepped = run_serve("ci-small", seed=0, engine="stepped")
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_hybrid_and_stepped_engines_are_byte_identical(self, seed):
+        hybrid = run_serve("ci-small", seed=seed, engine="hybrid")
+        stepped = run_serve("ci-small", seed=seed, engine="stepped")
         assert hybrid.render() == stepped.render()
         assert hybrid.as_dict() == stepped.as_dict()
         # The backend domains really executed guest code.

@@ -168,6 +168,13 @@ class TestChaosCommand:
         with pytest.raises(ValueError, match="version"):
             main(["chaos", "--replay", str(path)])
 
+    def test_replay_of_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--replay", str(missing)])
+        assert exc.value.code == 2
+        assert "can't open" in capsys.readouterr().err
+
 
 class TestFuzzCommand:
     def test_clean_bounded_run_exits_zero(self, capsys):
@@ -266,6 +273,8 @@ class TestSharedOutputSurface:
         ["trace", "--requests", "-2"],
         ["abom-demo", "--iterations", "0"],
         ["abom-demo", "--iterations", "-1"],
+        ["serve", "ci-small", "--workers", "0"],
+        ["serve", "ci-small", "--workers", "-1"],
     ])
     def test_out_of_range_count_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,6 @@ from repro.xen.blkdev import (
     SECTOR_SIZE,
     BlockError,
     BlockStore,
-    SnapshotStore,
     SplitBlockDriver,
 )
 from repro.xen.remus import Epoch, FailoverError, RemusReplicator
@@ -37,31 +36,6 @@ class TestBlockStore:
         store = BlockStore(1 << 20)
         store.write_sector(12345, b"\x01" * SECTOR_SIZE)
         assert store.allocated_sectors == 1
-
-
-class TestSnapshotStore:
-    def test_reads_fall_through_to_base(self):
-        base = BlockStore(8)
-        base.write_sector(1, b"B" * SECTOR_SIZE)
-        snap = SnapshotStore(base)
-        assert snap.read_sector(1) == b"B" * SECTOR_SIZE
-        assert snap.cow_sectors == 0
-
-    def test_writes_diverge_without_touching_base(self):
-        base = BlockStore(8)
-        base.write_sector(1, b"B" * SECTOR_SIZE)
-        snap = SnapshotStore(base)
-        snap.write_sector(1, b"S" * SECTOR_SIZE)
-        assert snap.read_sector(1) == b"S" * SECTOR_SIZE
-        assert base.read_sector(1) == b"B" * SECTOR_SIZE
-        assert snap.cow_sectors == 1
-
-    def test_two_snapshots_independent(self):
-        base = BlockStore(8)
-        a = SnapshotStore(base)
-        b = SnapshotStore(base)
-        a.write_sector(0, b"A" * SECTOR_SIZE)
-        assert b.read_sector(0) == b"\x00" * SECTOR_SIZE
 
 
 class TestSplitBlockDriver:

@@ -1,7 +1,6 @@
 import pytest
 
 from repro.perf.clock import SimClock
-from repro.xen.blanket import XenBlanket
 from repro.xen.hypervisor import DomainKind, XenHypervisor
 from repro.xen.scheduler import CreditScheduler
 from repro.xen.toolstack import Toolstack
@@ -95,26 +94,3 @@ class TestToolstack:
         with pytest.raises(KeyError):
             xen.domain(creation.domain.domid)
 
-
-class TestXenBlanket:
-    def test_no_nested_hw_virtualization_needed(self):
-        xen = XenHypervisor(clock=SimClock())
-        blanket = XenBlanket(xen, "ec2")
-        assert not blanket.needs_nested_hw_virtualization()
-
-    def test_io_overhead_in_cloud_not_on_baremetal(self):
-        xen = XenHypervisor(clock=SimClock())
-        cloud = XenBlanket(xen, "ec2")
-        metal = XenBlanket(xen, "baremetal")
-        assert cloud.io_cost_ns(1000.0) > 1000.0
-        assert metal.io_cost_ns(1000.0) == 1000.0
-
-    def test_syscall_path_unaffected(self):
-        xen = XenHypervisor(clock=SimClock())
-        blanket = XenBlanket(xen, "gce")
-        assert blanket.syscall_cost_ns(500.0) == 500.0
-
-    def test_unknown_cloud_rejected(self):
-        xen = XenHypervisor(clock=SimClock())
-        with pytest.raises(ValueError):
-            XenBlanket(xen, "azure")
