@@ -1,18 +1,22 @@
 """Benchmark harness configuration.
 
-Every figure benchmark regenerates one of the paper's tables/figures and
-prints it, so ``pytest benchmarks/ --benchmark-only -s`` reproduces the
-whole evaluation section.  Experiments are deterministic simulations; each
-is run once per benchmark round.
+The ablation, fleet and serve benchmarks time deterministic simulations,
+so the ``once`` fixture runs each exactly once.  The overhead gates
+(``test_*_overhead.py``) compare best-of-N wall times taken with the
+``min_time`` fixture.
 
 The library benchmarks additionally record their throughput (ops/sec) and
 decode-cache hit rates via the ``record_rate`` fixture; at session end the
 collected numbers are merged into ``BENCH_interpreter.json`` at the repo
 root (rows from other sessions are kept), next to the frozen pre-cache
 seed baseline, so before/after is one file diff.
+
+The paper's tables and figures are regenerated by ``repro experiments``
+and their shapes asserted in ``tests/experiments/test_calibration.py``.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +73,23 @@ def once(benchmark):
         return run_once(benchmark, fn)
 
     return runner
+
+
+@pytest.fixture
+def min_time():
+    """``min_time(fn, rounds=7)``: the best wall time of ``rounds`` calls
+    of ``fn``; taking the minimum on both sides of an overhead ratio keeps
+    scheduler noise out of it."""
+
+    def measure(fn, rounds=7):
+        best = float("inf")
+        for _ in range(rounds):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    return measure
 
 
 def _mean_seconds(benchmark):

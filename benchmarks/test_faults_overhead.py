@@ -14,8 +14,6 @@ noise cannot fail the build, and over-counts the guards 2x for slack
 (the happy transmit path evaluates exactly one).
 """
 
-import time
-
 from repro.faults import sites
 from repro.faults.plan import FaultPlan, FaultSpec, Nth
 from repro.guest.netstack import NetDevice, NetStack
@@ -28,15 +26,6 @@ from repro.xen.hypervisor import DomainKind, XenHypervisor
 GUARDS_PER_OP = 2
 
 TRANSMITS = 2000
-
-
-def _min_time(fn, rounds=7):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _driver(faults=None):
@@ -58,7 +47,9 @@ def _never_matching_engine():
     ).compile()
 
 
-def test_disabled_hook_guard_cost_under_two_percent(benchmark, record_rate):
+def test_disabled_hook_guard_cost_under_two_percent(
+    benchmark, record_rate, min_time
+):
     _, driver = _driver()
 
     def transmits():
@@ -67,7 +58,7 @@ def test_disabled_hook_guard_cost_under_two_percent(benchmark, record_rate):
         return TRANSMITS
 
     ops = benchmark(transmits)
-    transmit_s = _min_time(transmits)
+    transmit_s = min_time(transmits)
 
     def guards():
         for _ in range(TRANSMITS * GUARDS_PER_OP):
@@ -78,7 +69,7 @@ def test_disabled_hook_guard_cost_under_two_percent(benchmark, record_rate):
         for _ in range(TRANSMITS * GUARDS_PER_OP):
             pass
 
-    guard_s = max(0.0, _min_time(guards) - _min_time(loop_only))
+    guard_s = max(0.0, min_time(guards) - min_time(loop_only))
     overhead = guard_s / transmit_s
     assert overhead < 0.02, (
         f"disabled fault hooks cost {overhead:.2%} of the transmit path"

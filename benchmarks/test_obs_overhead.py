@@ -28,8 +28,6 @@ time.  Wall-time uses min-of-rounds on both sides so scheduler noise
 cannot fail the build.
 """
 
-import time
-
 from repro.obs import Registry, TraceRecorder, prometheus_text
 from repro.perf.clock import SimClock
 from repro.workloads.wrk_functional import FunctionalWrk
@@ -49,16 +47,9 @@ def _telemetry():
     return registry
 
 
-def _min_time(fn, rounds=7):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_telemetry_overhead_under_two_percent(benchmark, record_rate):
+def test_telemetry_overhead_under_two_percent(
+    benchmark, record_rate, min_time
+):
     wrk = FunctionalWrk()
 
     def requests():
@@ -68,7 +59,7 @@ def test_telemetry_overhead_under_two_percent(benchmark, record_rate):
         return REQUESTS
 
     ops = benchmark(requests)
-    request_s = _min_time(requests)
+    request_s = min_time(requests)
 
     def loop_only():
         for _ in range(REQUESTS * GUARDS_PER_OP):
@@ -80,7 +71,7 @@ def test_telemetry_overhead_under_two_percent(benchmark, record_rate):
             if wrk.telemetry is not None:
                 pass
 
-    guard_s = max(0.0, _min_time(guards) - _min_time(loop_only))
+    guard_s = max(0.0, min_time(guards) - min_time(loop_only))
     overhead = guard_s / request_s
     assert overhead < 0.02, (
         f"telemetry guards cost {overhead:.2%} of the HTTP request path"
@@ -98,7 +89,7 @@ def test_telemetry_overhead_under_two_percent(benchmark, record_rate):
             hist.observe(123456.0)
 
     instrument_s = max(
-        0.0, _min_time(instruments) - _min_time(loop_only)
+        0.0, min_time(instruments) - min_time(loop_only)
     )
     record_rate(
         benchmark,

@@ -27,8 +27,6 @@ Wall-time uses min-of-rounds on both sides so scheduler noise cannot
 fail the build.
 """
 
-import time
-
 from repro.perf.clock import SimClock
 from repro.sanitize import SanitizerSuite
 from repro.workloads.wrk_functional import FunctionalWrk
@@ -41,15 +39,6 @@ from repro.xen.hypervisor import DomainKind, XenHypervisor
 GUARDS_PER_OP = 24
 
 REQUESTS = 500
-
-
-def _min_time(fn, rounds=7):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _net_driver(suite=None):
@@ -66,7 +55,9 @@ def _net_driver(suite=None):
     )
 
 
-def test_sanitizer_overhead_under_two_percent(benchmark, record_rate):
+def test_sanitizer_overhead_under_two_percent(
+    benchmark, record_rate, min_time
+):
     wrk = FunctionalWrk()
     net = _net_driver()
     assert net.sanitizer is None
@@ -78,7 +69,7 @@ def test_sanitizer_overhead_under_two_percent(benchmark, record_rate):
         return REQUESTS
 
     ops = benchmark(requests)
-    request_s = _min_time(requests)
+    request_s = min_time(requests)
 
     def loop_only():
         for _ in range(REQUESTS * GUARDS_PER_OP):
@@ -91,7 +82,7 @@ def test_sanitizer_overhead_under_two_percent(benchmark, record_rate):
             if net.sanitizer is not None:
                 pass
 
-    guard_s = max(0.0, _min_time(guards) - _min_time(loop_only))
+    guard_s = max(0.0, min_time(guards) - min_time(loop_only))
     overhead = guard_s / request_s
     assert overhead < 0.02, (
         f"sanitizer guards cost {overhead:.2%} of the HTTP request path"
@@ -107,7 +98,7 @@ def test_sanitizer_overhead_under_two_percent(benchmark, record_rate):
         for _ in range(REQUESTS):
             suite.ring_publish(name, "frontend")
 
-    checker_s = max(0.0, _min_time(checker_work) - _min_time(loop_only))
+    checker_s = max(0.0, min_time(checker_work) - min_time(loop_only))
     record_rate(
         benchmark,
         ops,

@@ -184,9 +184,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.report import analyze
 
     if args.list:
-        for example in EXAMPLES.values():
-            marker = "" if example.safe else "  [unsafe demo]"
-            print(f"{example.name:16s} {example.description}{marker}")
+        _emit(args, "\n".join(
+            f"{example.name:16s} {example.description}"
+            + ("" if example.safe else "  [unsafe demo]")
+            for example in EXAMPLES.values()
+        ))
         return 0
     if args.target is None:
         selected = safe_examples()
@@ -250,9 +252,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         _emit(args, trace)
         return 0 if "\noutcome: clean\n" in trace else 1
     if args.list:
-        for name in sorted(scenario_names()):
-            scenario = get_scenario(name)
-            print(f"{scenario.name:28s} {scenario.description}")
+        _emit(args, "\n".join(
+            f"{scenario.name:28s} {scenario.description}"
+            for scenario in map(get_scenario, sorted(scenario_names()))
+        ))
         return 0
     names = None
     if args.scenario is not None:
@@ -284,8 +287,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import SCENARIOS, run_serve
 
     if args.list:
-        for scenario in SCENARIOS.values():
-            print(f"{scenario.name:12s} {scenario.description}")
+        _emit(args, "\n".join(
+            f"{scenario.name:12s} {scenario.description}"
+            for scenario in SCENARIOS.values()
+        ))
         return 0
     if args.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
@@ -317,12 +322,12 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     if args.list:
         from repro.faults.registry import scenario_names
 
-        for name in scenario_names():
-            print(f"chaos:{name}")
-        for name in ("nginx", "memcached", "redis", "scaleout"):
-            print(f"workload:{name}")
-        for name in FIXTURES:
-            print(f"fixture:{name}")
+        _emit(args, "\n".join(
+            [f"chaos:{name}" for name in scenario_names()]
+            + [f"workload:{name}"
+               for name in ("nginx", "memcached", "redis", "scaleout")]
+            + [f"fixture:{name}" for name in FIXTURES]
+        ))
         return 0
     if args.target not in ("chaos", "workloads", "fixtures", "all"):
         raise SystemExit(

@@ -81,6 +81,7 @@ class TestFig3Throughput:
         throughput, _ = fig3
         for column in throughput.columns:
             assert throughput.value("gvisor", column) < 0.45, column
+        assert throughput.value("gvisor", "google/memcached") < 0.4
 
     def test_clear_container_below_docker_on_macro(self, fig3):
         """§5.3: nested virtualization penalty."""
@@ -119,6 +120,7 @@ class TestFig3Throughput:
         t = throughput.value("gvisor", "google/memcached")
         l = latency.value("gvisor", "google/memcached")
         assert l > 1.0 > t
+        assert l > 2.0
 
 
 class TestFig4:
@@ -127,7 +129,7 @@ class TestFig4:
         best = max(
             fig4.value("x-container", column) for column in fig4.columns
         )
-        assert 20 <= best <= 30
+        assert 20 < best <= 30
 
     def test_x_over_clear_up_to_1_6(self, fig4):
         """§5.4: up to 1.6× compared to Clear Containers."""
@@ -179,7 +181,7 @@ class TestFig6:
         ratio = a.value("X", "throughput_rps") / a.value(
             "G", "throughput_rps"
         )
-        assert 1.7 <= ratio <= 2.4
+        assert 1.7 < ratio <= 2.4
 
     def test_6b_x_beats_graphene_by_50_percent(self, fig6):
         """§5.5: 'X-Containers outperformed Graphene by more than
@@ -188,7 +190,7 @@ class TestFig6:
         ratio = b.value("X", "throughput_rps") / b.value(
             "G", "throughput_rps"
         )
-        assert ratio >= 1.5
+        assert ratio > 1.5
 
     def test_6b_unikernel_unsupported(self, fig6):
         assert fig6["fig6b"].value("U", "throughput_rps") is None
@@ -205,7 +207,7 @@ class TestFig6:
         configuration'."""
         c = fig6["fig6c"]
         ratio = c.value("X", "dedicated&merged") / c.value("U", "dedicated")
-        assert 2.5 <= ratio <= 4.0
+        assert 2.5 < ratio <= 4.0
 
     def test_6c_merged_impossible_on_unikernel(self, fig6):
         assert fig6["fig6c"].value("U", "dedicated&merged") is None
@@ -224,7 +226,7 @@ class TestFig8:
         ratio = fig8.value("400", "x-container") / fig8.value(
             "400", "docker"
         )
-        assert 1.10 <= ratio <= 1.30
+        assert 1.10 < ratio < 1.30
 
     def test_docker_declines_past_peak(self, fig8):
         assert fig8.value("400", "docker") < fig8.value("100", "docker")
@@ -272,11 +274,13 @@ class TestSpawn:
         xl = result.value("x-container (xl toolstack)", "total_ms")
         assert xl == pytest.approx(3000, rel=0.02)
         boot = result.value("x-container (xl toolstack)", "boot_ms")
-        assert boot == pytest.approx(180)
+        assert boot == 180.0
         light = result.value(
             "x-container (lightvm toolstack)", "toolstack_ms"
         )
         assert light == pytest.approx(4.0)
+        total = result.value("x-container (lightvm toolstack)", "total_ms")
+        assert total < 200
 
     def test_ordinary_vm_slowest(self, result):
         vm = result.value("ordinary VM", "total_ms")
@@ -300,6 +304,9 @@ class TestFig5:
         """§5.4: 'noticeable overheads ... in process creation and
         context switching' (page-table ops via the X-Kernel)."""
         assert fig5_single.value("x-container", "process_creation") < 1.0
+        assert fig5_single.value(
+            "x-container", "process_creation"
+        ) < fig5_single.value("docker-unpatched", "process_creation")
         assert fig5_single.value(
             "x-container", "context_switching"
         ) < fig5_single.value("docker-unpatched", "context_switching")

@@ -22,6 +22,15 @@ from repro.fuzz.world import INVARIANTS  # noqa: E402
 FIXED_SEEDS = (0, 42, 20260806)
 
 
+@pytest.fixture(scope="module")
+def blk_lost_write_report():
+    """One seed-7 ``blk-lost-write`` shrink, shared by the tests that
+    only read its report."""
+    return run_fuzz(
+        seed=7, max_examples=15, steps=15, defect="blk-lost-write"
+    )
+
+
 class TestCoverageFloors:
     def test_one_rule_per_op(self):
         assert machine_rules() == tuple(sorted(OPS))
@@ -77,20 +86,20 @@ class TestDefectSelfFinding:
         _, steps = loads(report.steps_json)
         assert {one.op for one in steps} >= {"fleet_spawn", "fleet_post"}
 
-    def test_same_seed_finds_the_same_counterexample(self):
-        first = run_fuzz(
-            seed=7, max_examples=15, steps=15, defect="blk-lost-write"
-        )
+    def test_same_seed_finds_the_same_counterexample(
+        self, blk_lost_write_report
+    ):
+        first = blk_lost_write_report
         second = run_fuzz(
             seed=7, max_examples=15, steps=15, defect="blk-lost-write"
         )
         assert first.steps_json == second.steps_json
         assert first.replay_trace == second.replay_trace
 
-    def test_reported_replay_trace_matches_fresh_replay(self):
-        report = run_fuzz(
-            seed=7, max_examples=15, steps=15, defect="blk-lost-write"
-        )
+    def test_reported_replay_trace_matches_fresh_replay(
+        self, blk_lost_write_report
+    ):
+        report = blk_lost_write_report
         _, steps = loads(report.steps_json)
         fresh = replay_steps(steps, world_seed=7, defect="blk-lost-write")
         assert fresh == report.replay_trace
@@ -114,10 +123,8 @@ class TestReportSurface:
         assert "result: clean" in text
         assert report.as_dict()["ok"] is True
 
-    def test_failure_report_includes_steps_json(self):
-        report = run_fuzz(
-            seed=7, max_examples=15, steps=15, defect="blk-lost-write"
-        )
+    def test_failure_report_includes_steps_json(self, blk_lost_write_report):
+        report = blk_lost_write_report
         text = report.render()
         assert "FAILED" in text
         assert '"version": 1' in text

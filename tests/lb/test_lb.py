@@ -41,7 +41,7 @@ class TestCluster:
             results["xcontainer-haproxy"].throughput_rps
             / results["docker-haproxy"].throughput_rps
         )
-        assert 1.7 <= ratio <= 2.4
+        assert 1.7 < ratio < 2.4
 
     def test_nat_improves_on_haproxy_modestly(self, results):
         """§5.7: 'IPVS kernel level load balancing ... further improve
@@ -50,7 +50,7 @@ class TestCluster:
             results["xcontainer-ipvs-nat"].throughput_rps
             / results["xcontainer-haproxy"].throughput_rps
         )
-        assert 1.05 <= ratio <= 1.35
+        assert 1.05 < ratio < 1.35
 
     def test_dr_multiplies_nat(self, results):
         """§5.7: 'total throughput improved by another factor of 2.5'."""
@@ -58,7 +58,7 @@ class TestCluster:
             results["xcontainer-ipvs-dr"].throughput_rps
             / results["xcontainer-ipvs-nat"].throughput_rps
         )
-        assert 2.0 <= ratio <= 3.0
+        assert 2.0 < ratio < 3.0
 
     def test_dr_shifts_bottleneck_to_backends(self, results):
         """§5.7: 'With direct routing mode, the bottleneck shifted to

@@ -176,7 +176,36 @@ class TestChaosCommand:
         assert "can't open" in capsys.readouterr().err
 
 
+#: The seeded-defect ``repro fuzz`` run, and the ``run_fuzz`` arguments
+#: the CLI derives from it (the seed stays a string).
+DEFECT_ARGV = [
+    "fuzz", "--seed", "7", "--max-examples", "15", "--steps", "15",
+    "--defect", "blk-lost-write",
+]
+DEFECT_KWARGS = dict(
+    seed="7", max_examples=15, steps=15, defect="blk-lost-write"
+)
+
+
 class TestFuzzCommand:
+    @pytest.fixture(scope="class")
+    def defect_report(self):
+        """One shrink of the seeded defect, shared by the tests below."""
+        from repro.fuzz.machine import run_fuzz
+
+        return run_fuzz(**DEFECT_KWARGS)
+
+    @pytest.fixture
+    def shared_defect_run(self, monkeypatch, defect_report):
+        """Stand in for ``run_fuzz``: check the CLI's arguments, then
+        return the shared report."""
+
+        def run_fuzz(**kwargs):
+            assert kwargs == DEFECT_KWARGS
+            return defect_report
+
+        monkeypatch.setattr("repro.fuzz.machine.run_fuzz", run_fuzz)
+
     def test_clean_bounded_run_exits_zero(self, capsys):
         assert main(
             ["fuzz", "--seed", "0", "--max-examples", "3", "--steps", "10"]
@@ -195,21 +224,19 @@ class TestFuzzCommand:
         assert payload["rules"] >= 8
         assert payload["invariants"] >= 5
 
-    def test_seeded_defect_is_found_and_exits_one(self, capsys):
-        assert main(
-            ["fuzz", "--seed", "7", "--max-examples", "15", "--steps", "15",
-             "--defect", "blk-lost-write"]
-        ) == 1
+    def test_seeded_defect_is_found_and_exits_one(
+        self, shared_defect_run, capsys
+    ):
+        assert main(DEFECT_ARGV) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "replay byte-identical" in out
         assert '"op": "blk_burst"' in out
 
-    def test_fuzz_steps_feed_chaos_replay(self, tmp_path, capsys):
-        assert main(
-            ["fuzz", "--seed", "7", "--max-examples", "15", "--steps", "15",
-             "--defect", "blk-lost-write", "--format", "json"]
-        ) == 1
+    def test_fuzz_steps_feed_chaos_replay(
+        self, shared_defect_run, tmp_path, capsys
+    ):
+        assert main([*DEFECT_ARGV, "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         path = tmp_path / "steps.json"
         path.write_text(payload["steps_json"])
@@ -257,6 +284,17 @@ class TestSharedOutputSurface:
         ) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(path.read_text())["all_recovered"] is True
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "chaos", "serve", "sanitize"]
+    )
+    def test_list_writes_file_instead_of_stdout(
+        self, command, tmp_path, capsys
+    ):
+        path = tmp_path / "list.txt"
+        assert main([command, "--list", "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text().strip()
 
     def test_every_subcommand_accepts_the_shared_flags(self):
         parser = build_parser()
