@@ -44,6 +44,16 @@ class PageFlags(IntFlag):
     DIRTY = 32
 
 
+# ``_Page.flags`` holds these bits as a plain int: ``IntFlag`` operators
+# build a new enum member per call, which the store and fetch paths cannot
+# afford.  ``PageFlags`` stays the public type (``page_flags``,
+# ``map_region``, ``set_page_flags``).
+_PRESENT = int(PageFlags.PRESENT)
+_WRITABLE = int(PageFlags.WRITABLE)
+_EXECUTABLE = int(PageFlags.EXECUTABLE)
+_DIRTY = int(PageFlags.DIRTY)
+
+
 class PageFault(Exception):
     """Raised on access to an unmapped page or a forbidden write."""
 
@@ -56,7 +66,7 @@ class PageFault(Exception):
 class _Page:
     __slots__ = ("data", "flags", "generation")
 
-    def __init__(self, flags: PageFlags) -> None:
+    def __init__(self, flags: int) -> None:
         self.data = bytearray(PAGE_SIZE)
         self.flags = flags
         self.generation = 0
@@ -115,14 +125,15 @@ class PagedMemory:
         """Map (or re-flag) all pages covering ``[addr, addr + size)``."""
         if size <= 0:
             raise ValueError(f"cannot map region of size {size}")
+        bits = int(flags) | _PRESENT
         first = addr >> PAGE_SHIFT
         last = (addr + size - 1) >> PAGE_SHIFT
         for index in range(first, last + 1):
             page = self._pages.get(index)
             if page is None:
-                self._pages[index] = _Page(flags | PageFlags.PRESENT)
+                self._pages[index] = _Page(bits)
             else:
-                page.flags = flags | PageFlags.PRESENT
+                page.flags = bits
                 page.generation += 1
                 self._notify(index << PAGE_SHIFT, PAGE_SIZE)
 
@@ -133,13 +144,13 @@ class PagedMemory:
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             raise PageFault(addr, "not mapped")
-        return page.flags
+        return PageFlags(page.flags)
 
     def set_page_flags(self, addr: int, flags: PageFlags) -> None:
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             raise PageFault(addr, "not mapped")
-        page.flags = flags | PageFlags.PRESENT
+        page.flags = int(flags) | _PRESENT
         page.generation += 1
         self._notify(addr & ~_OFFSET_MASK, PAGE_SIZE)
 
@@ -192,7 +203,7 @@ class PagedMemory:
         remaining = size
         while remaining > 0:
             page = self._pages.get(cursor >> PAGE_SHIFT)
-            if page is None or not page.flags & PageFlags.EXECUTABLE:
+            if page is None or not page.flags & _EXECUTABLE:
                 if cursor == addr:
                     reason = (
                         "instruction fetch from unmapped page"
@@ -216,16 +227,16 @@ class PagedMemory:
             page = self._pages.get(cursor >> PAGE_SHIFT)
             if page is None:
                 raise PageFault(cursor, "write to unmapped page")
-            if self.wp_enabled and not page.flags & PageFlags.WRITABLE:
+            if self.wp_enabled and not page.flags & _WRITABLE:
                 raise PageFault(cursor, "write to read-only page")
             offset = cursor & _OFFSET_MASK
             chunk = min(len(remaining), PAGE_SIZE - offset)
             page.data[offset : offset + chunk] = remaining[:chunk]
             page.generation += 1
-            if not page.flags & PageFlags.WRITABLE:
+            if not page.flags & _WRITABLE:
                 # Supervisor write with WP disabled: hardware still records
                 # the store in the dirty bit (§4.4).
-                page.flags |= PageFlags.DIRTY
+                page.flags |= _DIRTY
             # Notify per chunk, not after the loop: a spanning write that
             # faults on a later page must still invalidate what it wrote.
             if self._write_observers:
@@ -238,8 +249,8 @@ class PagedMemory:
         offset = addr & _OFFSET_MASK
         page.data[offset : offset + len(data)] = data
         page.generation += 1
-        if not page.flags & PageFlags.WRITABLE:
-            page.flags |= PageFlags.DIRTY
+        if not page.flags & _WRITABLE:
+            page.flags |= _DIRTY
         if self._write_observers:
             self._notify(addr, len(data))
 
@@ -255,7 +266,7 @@ class PagedMemory:
         if (
             page is not None
             and (addr & _OFFSET_MASK) <= PAGE_SIZE - 8
-            and (page.flags & PageFlags.WRITABLE or not self.wp_enabled)
+            and (page.flags & _WRITABLE or not self.wp_enabled)
         ):
             self._write_single(addr, page, (value & _MASK64).to_bytes(8, "little"))
             return
@@ -273,7 +284,7 @@ class PagedMemory:
         if (
             page is not None
             and (addr & _OFFSET_MASK) <= PAGE_SIZE - 4
-            and (page.flags & PageFlags.WRITABLE or not self.wp_enabled)
+            and (page.flags & _WRITABLE or not self.wp_enabled)
         ):
             self._write_single(addr, page, (value & _MASK32).to_bytes(4, "little"))
             return
@@ -316,5 +327,5 @@ class PagedMemory:
         return sorted(
             index << PAGE_SHIFT
             for index, page in self._pages.items()
-            if page.flags & PageFlags.DIRTY
+            if page.flags & _DIRTY
         )

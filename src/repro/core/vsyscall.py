@@ -14,9 +14,21 @@ The layout is inferred from Figure 2 of the paper:
   syscall number from the stack at run time (shifted by 8 because the call
   pushed a return address).
 
+The static table therefore holds 383 slots (syscalls 0–382): slot 383
+would be ``base + 0xc00``, the first dynamic slot.  A higher number has no
+slot, so ABOM leaves its site trapping.
+
 The page sits at ``0xffffffffff600000`` precisely so every slot address fits
 in a sign-extended 32-bit displacement, which is what makes the 7-byte
 ``callq *disp32`` replacement possible.
+
+Because the table is the same in every process, its bytes are a pure
+function of this module's constants: the page image is built once at
+import, and installing it is one store.  The stubs the slots point at are
+two dispatchers, one static and one dynamic, each registered at all of its
+stub addresses; a dispatcher recovers which stub was called from RIP,
+which both entry paths (``CPU.step`` and a trace's ``stub_call``) set to
+the stub address before the call.
 """
 
 from __future__ import annotations
@@ -29,8 +41,9 @@ from repro.arch.memory import PagedMemory, PageFlags
 VSYSCALL_BASE = 0xFFFFFFFFFF600000
 #: Offset of the dynamic (stack-sourced number) slot table.
 DYNAMIC_TABLE_OFFSET = 0xC00
-#: Highest syscall number with a static slot.
-NUM_SYSCALLS = 384
+#: Number of static slots (syscalls ``0 .. NUM_SYSCALLS - 1``); the static
+#: table ends where the dynamic one starts.
+NUM_SYSCALLS = 383
 #: Stack displacements (multiples of 8) with a dynamic slot.
 DYNAMIC_DISPS = tuple(range(0, 0x80, 8))
 #: Where the LibOS entry stubs live (arbitrary kernel-half addresses; they
@@ -61,6 +74,31 @@ def dynamic_stub_addr(disp: int) -> int:
     return STUB_BASE + (NUM_SYSCALLS + disp // 8) * STUB_STRIDE
 
 
+_STATIC_STUBS = tuple(stub_addr(nr) for nr in range(NUM_SYSCALLS))
+_DYNAMIC_STUBS = tuple(dynamic_stub_addr(disp) for disp in DYNAMIC_DISPS)
+
+
+def _table_image() -> bytes:
+    """The page bytes from ``VSYSCALL_BASE`` through the last slot."""
+    static = {
+        slot_addr(nr) - VSYSCALL_BASE: stub
+        for nr, stub in enumerate(_STATIC_STUBS)
+    }
+    dynamic = {
+        dynamic_slot_addr(disp) - VSYSCALL_BASE: stub
+        for disp, stub in zip(DYNAMIC_DISPS, _DYNAMIC_STUBS)
+    }
+    shared = static.keys() & dynamic.keys()
+    assert not shared, f"static and dynamic slots alias at {sorted(shared)}"
+    image = bytearray(max(dynamic) + 8)
+    for offset, stub in (static | dynamic).items():
+        image[offset : offset + 8] = stub.to_bytes(8, "little")
+    return bytes(image)
+
+
+_TABLE_IMAGE = _table_image()
+
+
 class VsyscallPage:
     """Installs the entry table into memory and the stubs onto a CPU.
 
@@ -82,16 +120,11 @@ class VsyscallPage:
         )
         self.memory.wp_enabled = False
         try:
-            for nr in range(NUM_SYSCALLS):
-                self.memory.write_u64(slot_addr(nr), stub_addr(nr))
-            for disp in DYNAMIC_DISPS:
-                self.memory.write_u64(
-                    dynamic_slot_addr(disp), dynamic_stub_addr(disp)
-                )
+            self.memory.write(VSYSCALL_BASE, _TABLE_IMAGE)
         finally:
             self.memory.wp_enabled = True
         # Installing the table is initialization, not patching: clear the
-        # dirty bit the supervisor writes set.
+        # dirty bit the supervisor write set.
         self.memory.set_page_flags(
             VSYSCALL_BASE,
             self.memory.page_flags(VSYSCALL_BASE) & ~PageFlags.DIRTY,
@@ -108,25 +141,19 @@ class VsyscallPage:
         Static stub *n* invokes ``entry_handler(cpu, n)``.  A dynamic stub
         for displacement ``d`` reads the number from ``(rsp + d + 8)`` —
         ``+8`` because the ``call`` has pushed the return address on top of
-        what the original code indexed.
+        what the original code indexed.  Both dispatchers read which stub
+        was entered from ``cpu.regs.rip``.
         """
         if not self._installed:
             raise RuntimeError("install() the vsyscall page before attach()")
 
-        def make_static(nr: int):
-            def stub(cpu: CPU) -> None:
-                entry_handler(cpu, nr)
+        def static_stub(cpu: CPU) -> None:
+            entry_handler(cpu, (cpu.regs.rip - STUB_BASE) // STUB_STRIDE)
 
-            return stub
+        def dynamic_stub(cpu: CPU) -> None:
+            index = (cpu.regs.rip - STUB_BASE) // STUB_STRIDE - NUM_SYSCALLS
+            nr = cpu.mem.read_u64(cpu.regs.rsp + index * 8 + 8) & 0xFFFFFFFF
+            entry_handler(cpu, nr)
 
-        def make_dynamic(disp: int):
-            def stub(cpu: CPU) -> None:
-                nr = cpu.mem.read_u64(cpu.regs.rsp + disp + 8) & 0xFFFFFFFF
-                entry_handler(cpu, nr)
-
-            return stub
-
-        for nr in range(NUM_SYSCALLS):
-            cpu.native_stubs[stub_addr(nr)] = make_static(nr)
-        for disp in DYNAMIC_DISPS:
-            cpu.native_stubs[dynamic_stub_addr(disp)] = make_dynamic(disp)
+        cpu.native_stubs.update(dict.fromkeys(_STATIC_STUBS, static_stub))
+        cpu.native_stubs.update(dict.fromkeys(_DYNAMIC_STUBS, dynamic_stub))

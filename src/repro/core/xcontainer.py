@@ -264,7 +264,7 @@ class XContainer:
         memory pages, fresh vCPU — only the checkpointed bytes carry over
         (including any ABOM patches already applied to the text).
         """
-        from repro.arch.memory import PageFlags, _Page
+        from repro.arch.memory import _Page
         from repro.arch.registers import Reg as _Reg
 
         xc = cls(
@@ -276,7 +276,7 @@ class XContainer:
         )
         xc.memory._pages.clear()
         for index, data in checkpoint.pages.items():
-            page = _Page(PageFlags(checkpoint.page_flags[index]))
+            page = _Page(checkpoint.page_flags[index])
             page.data = bytearray(data)
             xc.memory._pages[index] = page
         xc.memory.wp_enabled = checkpoint.wp_enabled

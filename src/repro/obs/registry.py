@@ -498,21 +498,30 @@ class Registry:
         """Sum of all samples of ``name`` whose labels include ``labels``.
 
         The cross-layer query primitive: ``value("arch_icache_hits_total")``
-        sums over every vCPU; adding ``cpu=0`` narrows to one.
+        sums over every vCPU; adding ``cpu=0`` narrows to one.  Only the
+        matching instruments and families are read, and they are summed in
+        :meth:`collect`'s ``(name, labels)`` order, so the float result is
+        the same as summing the collected samples.
         """
         want = set(_canon_labels(labels))
-        total = 0.0
-        found = False
-        for sample in self.collect():
-            if sample.name != name or not want <= set(sample.labels):
+        matched: list[tuple[LabelItems, float]] = []
+        for (inst_name, inst_labels), inst in self._instruments.items():
+            if inst_name == name and want.issubset(inst_labels):
+                matched.append((inst_labels, inst.value()))
+        for family in self._families:
+            if family.name != name:
                 continue
-            found = True
-            if isinstance(sample.value, Histogram):
-                total += sample.value.sum
-            else:
-                total += sample.value
-        if not found:
+            for family_labels, number in family.samples():
+                if want.issubset(family_labels):
+                    matched.append((family_labels, number))
+        if not matched:
             raise KeyError(f"no samples for metric {name!r}")
+        matched.sort(key=lambda item: item[0])
+        # A left-to-right loop, not ``sum()``: from Python 3.12 ``sum()``
+        # compensates float rounding, which can change the last bits.
+        total = 0.0
+        for _, number in matched:
+            total += number
         return total
 
     def snapshot(self) -> dict:

@@ -62,11 +62,11 @@ def checkpoint_memory(memory: PagedMemory, registers: dict[str, int],
 
 def restore_memory(checkpoint: Checkpoint) -> PagedMemory:
     """Materialize a fresh memory image from a checkpoint."""
-    from repro.arch.memory import PageFlags, _Page
+    from repro.arch.memory import _Page
 
     memory = PagedMemory()
     for index, data in checkpoint.pages.items():
-        page = _Page(PageFlags(checkpoint.page_flags[index]))
+        page = _Page(checkpoint.page_flags[index])
         page.data = bytearray(data)
         memory._pages[index] = page
     memory.wp_enabled = checkpoint.wp_enabled

@@ -1,9 +1,13 @@
 import pytest
 
+from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU
 from repro.arch.memory import PagedMemory, PageFault, PageFlags
+from repro.arch.registers import Reg
 from repro.core import vsyscall
 from repro.core.vsyscall import VsyscallPage
+from repro.core.xcontainer import XContainer
+from repro.core.xlibos import CountingServices
 
 
 class TestLayout:
@@ -40,18 +44,57 @@ class TestLayout:
         with pytest.raises(ValueError):
             vsyscall.dynamic_slot_addr(3)  # not a multiple of 8 in range
 
+    def test_static_and_dynamic_slots_are_disjoint(self):
+        numbers = range(vsyscall.NUM_SYSCALLS)
+        disps = vsyscall.DYNAMIC_DISPS
+        static = {vsyscall.slot_addr(nr) for nr in numbers}
+        dynamic = {vsyscall.dynamic_slot_addr(disp) for disp in disps}
+        assert len(static) == vsyscall.NUM_SYSCALLS
+        assert not static & dynamic
+        stubs = {vsyscall.stub_addr(nr) for nr in numbers}
+        assert not stubs & {vsyscall.dynamic_stub_addr(d) for d in disps}
+
+    def test_highest_static_number_keeps_its_syscall(self):
+        """A patched ``mov $383,%eax; syscall`` site must keep issuing 383.
+
+        383 would own ``base + 0xc00``, the Go dynamic table's first slot;
+        patched into a call through it, the site's next run would issue
+        whatever number sits at ``8(%rsp)``.
+        """
+        asm = Assembler(base=0x400000)
+        asm.mov_imm32(Reg.RBX, 2)
+        asm.label("loop")
+        asm.syscall_site(383, style="mov_eax", symbol="s383")
+        asm.dec(Reg.RBX)
+        asm.jne("loop")
+        asm.hlt()
+        services = CountingServices()
+        XContainer(services).run(asm.build("alias"))
+        assert services.calls == [383, 383]
+
 
 class TestInstall:
     def test_table_points_at_stubs(self):
         mem = PagedMemory()
         page = VsyscallPage(mem)
         page.install()
-        assert mem.read_u64(vsyscall.slot_addr(0)) == vsyscall.stub_addr(0)
-        assert mem.read_u64(vsyscall.slot_addr(39)) == vsyscall.stub_addr(39)
-        assert (
-            mem.read_u64(vsyscall.dynamic_slot_addr(8))
-            == vsyscall.dynamic_stub_addr(8)
-        )
+        for nr in range(vsyscall.NUM_SYSCALLS):
+            stub = vsyscall.stub_addr(nr)
+            assert mem.read_u64(vsyscall.slot_addr(nr)) == stub
+        for disp in vsyscall.DYNAMIC_DISPS:
+            assert (
+                mem.read_u64(vsyscall.dynamic_slot_addr(disp))
+                == vsyscall.dynamic_stub_addr(disp)
+            )
+
+    def test_installed_page_is_clean_and_readonly(self):
+        mem = PagedMemory()
+        VsyscallPage(mem).install()
+        flags = mem.page_flags(vsyscall.VSYSCALL_BASE)
+        assert isinstance(flags, PageFlags)
+        assert not flags & PageFlags.DIRTY
+        assert not flags & PageFlags.WRITABLE
+        assert mem.dirty_pages() == []
 
     def test_page_is_readonly_to_user_code(self):
         mem = PagedMemory()
@@ -80,7 +123,9 @@ class TestStubs:
         cpu = CPU(mem)
         seen = []
         page.attach(cpu, lambda cpu, nr: seen.append(nr))
-        cpu.native_stubs[vsyscall.stub_addr(39)](cpu)
+        # Stubs are entered with RIP at the stub, as CPU.step and traces do.
+        cpu.regs.rip = vsyscall.stub_addr(39)
+        cpu.native_stubs[cpu.regs.rip](cpu)
         assert seen == [39]
 
     def test_dynamic_stub_reads_number_from_stack(self):
@@ -95,5 +140,6 @@ class TestStubs:
         mem.write_u64(0x7100 + 16, 202)
         seen = []
         page.attach(cpu, lambda cpu, nr: seen.append(nr))
-        cpu.native_stubs[vsyscall.dynamic_stub_addr(8)](cpu)
+        cpu.regs.rip = vsyscall.dynamic_stub_addr(8)
+        cpu.native_stubs[cpu.regs.rip](cpu)
         assert seen == [202]
