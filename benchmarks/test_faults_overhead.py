@@ -22,7 +22,7 @@ from repro.xen.events import EventChannelTable
 from repro.xen.hypervisor import DomainKind, XenHypervisor
 
 #: Guards charged per transmit in the cost model below; the real happy
-#: path evaluates one (see ``SplitNetDriver._transmit_once``).
+#: path evaluates one (see ``SplitNetDriver._transmit_batch_once``).
 GUARDS_PER_OP = 2
 
 TRANSMITS = 2000

@@ -10,8 +10,8 @@ refutes) them from the bytes alone:
 * :mod:`repro.analysis.cfg` — recursive-descent disassembly and CFG
   recovery (basic blocks, edges, landing targets);
 * :mod:`repro.analysis.sites` — static ``syscall`` discovery and
-  :class:`~repro.arch.binary.SitePattern` classification, replacing the
-  offline patcher's hand-written symbol lists;
+  :class:`~repro.arch.binary.SitePattern` classification, the site list
+  the safety checks and the differential consume;
 * :mod:`repro.analysis.safety` — the §4.4 window and phase-equivalence
   checks, emitting structured :class:`~repro.analysis.safety.Finding`
   records;
@@ -41,7 +41,6 @@ from repro.analysis.sites import (
     DiscoveredSite,
     discover_binary_sites,
     discover_sites,
-    reconcile_with_metadata,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "DiscoveredSite",
     "discover_sites",
     "discover_binary_sites",
-    "reconcile_with_metadata",
     "Finding",
     "Severity",
     "verify_sites",

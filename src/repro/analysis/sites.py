@@ -1,9 +1,9 @@
 """Static syscall-site discovery and classification.
 
 ABOM (§4.4) decides what to patch from the raw bytes in front of a
-trapping ``syscall``; the offline tool (§5.2) needs a human-supplied
-symbol list.  This module removes the human: it finds every ``syscall``
-in the recovered CFG and classifies it into the same
+trapping ``syscall``; the offline tool (§5.2) patches the sites of a
+human-supplied symbol list.  This module reads the bytes alone: it finds
+every ``syscall`` in the recovered CFG and classifies it into the same
 :class:`~repro.arch.binary.SitePattern` taxonomy the rest of the
 repository uses, by
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.cfg import CFG, recover_binary_cfg
-from repro.arch.binary import Binary, SitePattern, SyscallSite
+from repro.arch.binary import Binary, SitePattern
 from repro.arch.encoding import Instruction, enc_call_abs_ind, enc_jmp_rel8
 from repro.arch.registers import Reg
 from repro.core import vsyscall
@@ -52,10 +52,6 @@ class DiscoveredSite:
     window: tuple[int, int] | None
     #: Final bytes ABOM would leave in the window, if patchable.
     predicted_bytes: bytes | None
-
-    def to_syscall_site(self, symbol: str = "") -> SyscallSite:
-        """Convert to the metadata record the offline patcher consumes."""
-        return SyscallSite(self.syscall_addr, self.pattern, self.nr, symbol)
 
 
 def discover_sites(cfg: CFG, code: bytes, base: int) -> list[DiscoveredSite]:
@@ -190,8 +186,8 @@ def _walk_back_for_mov(
     crosses a control transfer, or passes an instruction that writes
     %rax.  It deliberately walks *through* interior jump targets: the
     wrapper region is still syntactically there, and the safety verifier
-    separately flags the interior target so the offline patcher skips
-    the site instead of breaking the merging path.
+    separately flags the interior target as a WARNING: patching the
+    region would break the merging path.
     """
     cursor = syscall_addr
     while syscall_addr - cursor <= CANCELLABLE_MAX_BACK:
@@ -210,22 +206,3 @@ def _walk_back_for_mov(
             return None
         cursor = prev_addr
     return None
-
-
-# ----------------------------------------------------------------------
-# Reconciliation with declared metadata
-# ----------------------------------------------------------------------
-def reconcile_with_metadata(
-    discovered: list[DiscoveredSite], binary: Binary
-) -> list[tuple[SyscallSite, DiscoveredSite | None]]:
-    """Pair each declared :class:`SyscallSite` with its discovered twin.
-
-    Returns ``(declared, discovered-or-None)`` pairs; a ``None`` means
-    the declared site was not statically reachable (dead code, or text
-    reached only through indirect flow the CFG cannot see).
-    """
-    by_addr = {site.syscall_addr: site for site in discovered}
-    return [
-        (declared, by_addr.get(declared.syscall_addr))
-        for declared in binary.sites
-    ]

@@ -42,10 +42,6 @@ def to_signed64(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
-def to_unsigned64(value: int) -> int:
-    return value & MASK64
-
-
 def sign_extend(value: int, bits: int) -> int:
     """Sign-extend ``value`` from ``bits`` to a Python int."""
     mask = (1 << bits) - 1

@@ -483,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common_output],
     )
     fuzz.add_argument(
-        "--seed", default="0",
-        help="fuzz seed (int or string); same seed reruns the same "
-             "example sequence byte-identically",
+        "--seed", type=int, default=0,
+        help="fuzz seed (the int run_fuzz takes); same seed reruns the "
+             "same example sequence byte-identically",
     )
     fuzz.add_argument(
         "--max-examples", type=_at_least(1), default=25,

@@ -71,14 +71,3 @@ LOCAL_CLUSTER = CloudSite(
     cost_scale=0.95,
     io_scale=1.0,
 )
-
-_SITES = {site.name: site for site in (EC2, GCE, LOCAL_CLUSTER)}
-
-
-def site_by_name(name: str) -> CloudSite:
-    site = _SITES.get(name.lower())
-    if site is None:
-        raise KeyError(
-            f"unknown site {name!r}; known: {', '.join(sorted(_SITES))}"
-        )
-    return site

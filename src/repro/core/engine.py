@@ -7,11 +7,11 @@ and stepping it instruction-by-instruction buys nothing: Fig-8-style
 scalability sweeps pay O(domains × ticks) wall-clock for guests that do
 no work.  This module is the refactor ROADMAP item 2 asks for:
 
-* **hybrid mode** (default): a parked domain registers its next wake
-  event (work posted to its mailbox ring, an event-channel notify, a
-  ring kick, a toolstack timer) in a central event queue and is
-  *fast-forwarded* on the simulated clock to the delivery tick; global
-  virtual time jumps straight from one wake tick to the next;
+* **hybrid mode** (default): each ``post_work`` to a parked domain's
+  mailbox ring queues a wake kick in a central event queue, and the
+  domain is *fast-forwarded* on the simulated clock to the delivery
+  tick; global virtual time jumps straight from one wake tick to the
+  next;
 * **stepped mode** (``hybrid=False``): the oracle.  Global time walks
   the tick grid one tick at a time and every domain — parked or not —
   is visited on every tick, exactly like the pre-engine loop.
@@ -36,7 +36,7 @@ lost-wakeup race, observable by the PR 7 protocol checker).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.assembler import Assembler
 from repro.arch.binary import Binary
@@ -171,17 +171,6 @@ class ExecDomain:
         return self.container.memory.read_u64(self.result_addr)
 
 
-class _RingWaker:
-    """Adapter a split driver holds: ``on_ring_reap`` wakes one domain."""
-
-    def __init__(self, engine: "ExecutionEngine", domid: int) -> None:
-        self._engine = engine
-        self._domid = domid
-
-    def on_ring_reap(self, count: int) -> None:
-        self._engine.on_ring_reap(self._domid, count)
-
-
 class ExecutionEngine:
     """The hybrid discrete-event fleet executor.
 
@@ -222,8 +211,6 @@ class ExecutionEngine:
         self._heap: list[tuple[float, int, int, int, bool]] = []
         self._seq = 0
         self.n_parked = 0
-        #: Event-channel port -> domid (``bind_port``).
-        self._ports: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Fleet construction
@@ -309,40 +296,6 @@ class ExecutionEngine:
         if self.sanitizer is not None:
             self.sanitizer.ring_publish(dom.ring_name, "engine")
         self._enqueue(domid, self._next_tick(at_ns))
-
-    def post_kick(self, domid: int, at_ns: float | None = None) -> None:
-        """Wake a domain without publishing work (pure notification)."""
-        at = at_ns if at_ns is not None else self._now
-        self._enqueue(domid, self._next_tick(at))
-
-    # -- external wake sources (events / drivers / toolstack) ----------
-    def bind_port(self, port: int, domid: int) -> None:
-        """Route event-channel notifies on ``port`` to a domain."""
-        self._ports[port] = domid
-
-    def attach_events(self, table) -> None:
-        """Become ``table``'s waker: sends wake bound parked domains."""
-        table.waker = self
-
-    def on_event(self, port: int) -> None:
-        """A pending event channel wakes the domain bound to its port."""
-        domid = self._ports.get(port)
-        if domid is not None:
-            self.post_kick(domid)
-
-    def ring_waker(self, domid: int) -> _RingWaker:
-        """Waker for a split driver: response reaps wake ``domid``."""
-        return _RingWaker(self, domid)
-
-    def on_ring_reap(self, domid: int, count: int) -> None:
-        """A ring response reap wakes the frontend's domain."""
-        if count > 0 and domid in self._domains:
-            self.post_kick(domid)
-
-    def on_timer(self, domid: int, t_ns: float) -> None:
-        """A timer (e.g. toolstack boot completion) fires at ``t_ns``."""
-        if domid in self._domains:
-            self.post_kick(domid, t_ns)
 
     # ------------------------------------------------------------------
     # Execution

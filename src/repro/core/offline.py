@@ -63,48 +63,6 @@ class OfflinePatcher:
         self._trampoline_cursor = TRAMPOLINE_BASE
         self._trampoline_mapped = False
 
-    def patch_discovered(
-        self,
-        binary: Binary,
-        preserve_intervening: bool = False,
-    ) -> OfflinePatchReport:
-        """Patch every *statically discovered* cancellable site.
-
-        The paper's tool ran from a human-supplied symbol list ("two
-        locations in the libpthread library can be patched"); this
-        variant recovers the sites from the bytes instead, via the CFG
-        analyzer, so no symbols are needed.  Sites the safety verifier
-        cannot certify (a CFG edge targeting the wrapper's interior) are
-        skipped rather than patched.
-        """
-        # Imported lazily: repro.analysis itself depends on repro.core.
-        from repro.analysis.cfg import recover_binary_cfg
-        from repro.analysis.safety import Severity, verify_sites
-        from repro.analysis.sites import discover_sites
-
-        cfg = recover_binary_cfg(binary)
-        discovered = discover_sites(cfg, binary.code, binary.base)
-        findings = verify_sites(cfg, discovered)
-        blocked = {
-            f.site for f in findings
-            if f.severity >= Severity.WARNING
-            and f.kind == "offline-interior-target"
-        }
-        report = OfflinePatchReport()
-        sites = []
-        for found in discovered:
-            if found.pattern is not SitePattern.CANCELLABLE:
-                continue
-            if found.syscall_addr in blocked:
-                report.skipped.append(hex(found.syscall_addr))
-                continue
-            sites.append(found.to_syscall_site())
-        partial = self.patch_sites(binary, sites, preserve_intervening)
-        report.patched.extend(partial.patched)
-        report.skipped.extend(partial.skipped)
-        report.trampolines.extend(partial.trampolines)
-        return report
-
     def patch_sites(
         self,
         binary: Binary,

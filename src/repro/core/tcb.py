@@ -142,11 +142,3 @@ def compare_to_docker() -> list[TcbComparison]:
             )
         )
     return rows
-
-
-def process_isolation_redundant(single_concerned: bool,
-                                processes_mutually_trusting: bool) -> bool:
-    """§2.2's design rule: intra-container process isolation is redundant
-    exactly for single-concerned containers whose processes belong to the
-    same service."""
-    return single_concerned and processes_mutually_trusting

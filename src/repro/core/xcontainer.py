@@ -264,8 +264,8 @@ class XContainer:
         memory pages, fresh vCPU — only the checkpointed bytes carry over
         (including any ABOM patches already applied to the text).
         """
-        from repro.arch.memory import _Page
         from repro.arch.registers import Reg as _Reg
+        from repro.xen.migration import restore_memory
 
         xc = cls(
             services,
@@ -274,12 +274,7 @@ class XContainer:
             abom_enabled=abom_enabled,
             name=name or f"{checkpoint.name}-restored",
         )
-        xc.memory._pages.clear()
-        for index, data in checkpoint.pages.items():
-            page = _Page(checkpoint.page_flags[index])
-            page.data = bytearray(data)
-            xc.memory._pages[index] = page
-        xc.memory.wp_enabled = checkpoint.wp_enabled
+        restore_memory(checkpoint, xc.memory)
         regs = checkpoint.registers
         for reg in _Reg:
             xc.cpu.regs.write64(reg, regs[reg.name.lower()])

@@ -11,11 +11,11 @@ repository *tests* that claim instead of asserting it.  It provides:
 * :mod:`~repro.faults.retry` — bounded retry/backoff policies the
   frontends adopt so injected faults are survivable;
 * :mod:`~repro.faults.chaos` / :mod:`~repro.faults.scenarios` — named
-  failure scenarios with recovery invariants;
-* :mod:`~repro.faults.registry` — the scenario registry
-  (:func:`~repro.faults.registry.register`,
-  :func:`~repro.faults.registry.get_scenario`) that replaced the old
-  module-level ``SCENARIOS`` dict;
+  failure scenarios with recovery invariants, and the name → scenario
+  ``CATALOG``;
+* :mod:`~repro.faults.registry` — the catalog lookups
+  (:func:`~repro.faults.registry.get_scenario`,
+  :func:`~repro.faults.registry.scenario_names`);
 * :mod:`~repro.faults.report` — the ``repro chaos`` run report.
 
 Only the light pieces are imported eagerly (substrates import site names
@@ -33,12 +33,7 @@ from repro.faults.plan import (
     SiteCounters,
     TimeWindow,
 )
-from repro.faults.registry import (
-    get_scenario,
-    list_scenarios,
-    register,
-    scenario_names,
-)
+from repro.faults.registry import get_scenario, scenario_names
 from repro.faults.retry import RetryExhausted, RetryPolicy
 
 __all__ = [
@@ -54,7 +49,5 @@ __all__ = [
     "SiteCounters",
     "TimeWindow",
     "get_scenario",
-    "list_scenarios",
-    "register",
     "scenario_names",
 ]

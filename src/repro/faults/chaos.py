@@ -83,8 +83,8 @@ class Scenario:
         steps through a :class:`~repro.fuzz.world.FuzzWorld` wired to the
         scenario context's clock, fault engine, and sanitizers, checking
         the full fuzz invariant set after every step.  Promoted shrunk
-        failures become first-class catalog entries this way — register
-        the result with :func:`repro.faults.registry.register`.
+        failures become first-class catalog entries this way — add the
+        result to :func:`repro.faults.scenarios._build_catalog`.
 
         The default plan is empty: faults enter through ``inject_fault``
         steps, which :meth:`~repro.faults.plan.FaultEngine.arm` specs on

@@ -648,7 +648,7 @@ def _run_wake_drop(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 
 def _build_catalog() -> tuple[Scenario, ...]:
-    """The shipped scenarios, in catalog (registration) order."""
+    """The shipped scenarios, in catalog (report) order."""
     from repro.fuzz.steps import step
 
     return (
@@ -777,11 +777,7 @@ def _build_catalog() -> tuple[Scenario, ...]:
     )
 
 
-def _register_catalog() -> None:
-    from repro.faults.registry import register
-
-    for scenario in _build_catalog():
-        register(scenario)
-
-
-_register_catalog()
+#: The catalog by name, in :func:`_build_catalog` (report) order.
+CATALOG: dict[str, Scenario] = {
+    scenario.name: scenario for scenario in _build_catalog()
+}

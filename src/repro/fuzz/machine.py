@@ -313,16 +313,8 @@ def _invariant_count() -> int:
     return len(INVARIANTS)
 
 
-def machine_rules() -> tuple[str, ...]:
-    """Rule names (= step ops) the machine covers, sorted."""
-    from repro.fuzz.steps import OPS
-
-    return tuple(sorted(OPS))
-
-
 __all__: tuple[str, ...] = (
     "StackMachine",
     "build_machine",
-    "machine_rules",
     "run_fuzz",
 )

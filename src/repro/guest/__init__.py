@@ -2,8 +2,9 @@
 
 A functional model of the Linux services the experiments exercise:
 processes and fork/exec, a CFS-style runqueue, a RAM filesystem, pipes,
-signals, sockets with a flow-level TCP model, netfilter DNAT (the port
-forwarding of §5.3), and loadable modules including IPVS (§5.7).
+sockets with a flow-level TCP model, and loadable modules including
+IPVS (§5.7).  The §5.3 DNAT port forwarding is a per-request platform
+cost (``Platform.net_request_extra_ns``), not a rule table.
 
 The same :class:`~repro.guest.kernel.GuestKernel` backs three roles:
 
@@ -21,9 +22,7 @@ from repro.guest.vfs import RamFS
 from repro.guest.pipe import Pipe
 from repro.guest.modules import ModuleRegistry, ModuleLoadError
 from repro.guest.netstack import NetStack, NetDevice
-from repro.guest.netfilter import Netfilter
 from repro.guest.ipvs import IPVS, IpvsMode
-from repro.guest.signals import Disposition, SignalSubsystem
 from repro.guest.socket import SocketLayer, VirtualNetwork
 from repro.guest.minidb import MiniDB
 
@@ -40,11 +39,8 @@ __all__ = [
     "ModuleLoadError",
     "NetStack",
     "NetDevice",
-    "Netfilter",
     "IPVS",
     "IpvsMode",
-    "Disposition",
-    "SignalSubsystem",
     "SocketLayer",
     "VirtualNetwork",
     "MiniDB",

@@ -25,12 +25,10 @@ from typing import Protocol
 
 from repro.guest.config import KernelConfig
 from repro.guest.modules import ModuleRegistry
-from repro.guest.netfilter import Netfilter
 from repro.guest.netstack import NetDevice, NetStack
 from repro.guest.pipe import Pipe, PipeEnd
 from repro.guest.process import AddressSpace, Process, ProcessState
 from repro.guest.sched import RunQueue
-from repro.guest.signals import SignalError, SignalSubsystem
 from repro.guest.vfs import O_CREAT, O_RDONLY, OpenFile, RamFS, VfsError
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
@@ -127,7 +125,6 @@ class GuestKernel:
         self.mmu = mmu or NativeMmu(self.costs, self.clock)
         self.vfs = RamFS()
         self.modules = ModuleRegistry(allowed=self.config.modules_allowed)
-        self.netfilter = Netfilter(self.costs)
         self.netstack = NetStack(self.costs, self.config, net_device)
         self.runqueue = RunQueue(
             self.costs,
@@ -142,9 +139,6 @@ class GuestKernel:
             ),
         )
         self.stats = KernelStats()
-        self.signals = SignalSubsystem(
-            terminate=lambda pid, sig: self.exit(pid, 128 + sig)
-        )
         self._procs: dict[int, Process] = {}
         self._next_pid = 1
         self._next_asid = 1
@@ -355,10 +349,8 @@ class GuestKernel:
                     cpu.halted = True
                 return regs.read64(7) if regs else 0
             if nr == SYS["rt_sigreturn"]:
-                try:
-                    self.signals.sigreturn(pid)
-                except SignalError:
-                    pass  # bare sigreturn outside a handler: benign here
+                # Signals are not modelled, so no handler frame is ever
+                # live: a bare sigreturn returns 0 and charges nothing.
                 return 0
             if nr == SYS["fork"]:
                 return self.fork(pid).pid

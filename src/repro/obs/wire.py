@@ -434,35 +434,6 @@ def wire_http_server(registry: Registry, server: Any) -> None:
     )
 
 
-# -- sanitize ---------------------------------------------------------------
-
-
-def wire_sanitizers(registry: Registry, suite: Any) -> None:
-    """Expose a :class:`~repro.sanitize.suite.SanitizerSuite`'s counters.
-
-    One ``sanitize_*`` metric per suite stat (the same pairs ``stats()``
-    reports), plus a findings family labelled by checker — so a scrape
-    shows at a glance whether a run tripped any checker and how much
-    protocol traffic each one audited.
-    """
-    for name, _ in suite.stats():
-        registry.bind(
-            f"sanitize_{name}_total",
-            (lambda s=suite, n=name: dict(s.stats())[n]),
-            help="sanitizer suite counters (see docs/sanitizers.md)",
-        )
-    registry.bind_family(
-        "sanitize_findings_total",
-        "checker",
-        lambda: {
-            "race": len(suite.race.findings),
-            "grants": len(suite.grants.findings),
-            "rings": len(suite.rings.findings),
-        },
-        help="sanitizer findings by checker",
-    )
-
-
 # -- faults -----------------------------------------------------------------
 
 _FAULT_LIFECYCLE = (

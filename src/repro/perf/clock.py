@@ -59,31 +59,3 @@ class SimClock:
 
     def __repr__(self) -> str:
         return f"SimClock(now_ns={self._now_ns:.1f})"
-
-
-class Stopwatch:
-    """Measures elapsed simulated time between :meth:`start` and :meth:`stop`."""
-
-    __slots__ = ("_clock", "_started_at", "elapsed_ns")
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._started_at: float | None = None
-        self.elapsed_ns = 0.0
-
-    def start(self) -> None:
-        self._started_at = self._clock.now_ns
-
-    def stop(self) -> float:
-        if self._started_at is None:
-            raise RuntimeError("stopwatch stopped before it was started")
-        self.elapsed_ns = self._clock.now_ns - self._started_at
-        self._started_at = None
-        return self.elapsed_ns
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

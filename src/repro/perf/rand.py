@@ -12,43 +12,27 @@ import hashlib
 import random
 
 
-class DeterministicRng:
-    """A seeded RNG with a few convenience distributions."""
+class DeterministicRng(random.Random):
+    """A :class:`random.Random` seeded from an int or a string (hashed
+    with SHA-256), with named child streams and a clamped noise factor."""
 
     def __init__(self, seed: int | str) -> None:
         if isinstance(seed, str):
             digest = hashlib.sha256(seed.encode("utf-8")).digest()
             seed = int.from_bytes(digest[:8], "big")
-        self.seed = seed
-        self._rng = random.Random(seed)
+        #: The int this stream was seeded with (children derive from it).
+        self.root_seed = seed
+        super().__init__(seed)
 
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent child stream named ``label``."""
-        return DeterministicRng(f"{self.seed}:{label}")
+        return DeterministicRng(f"{self.root_seed}:{label}")
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._rng.uniform(lo, hi)
-
-    def expovariate(self, rate: float) -> float:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive: {rate}")
-        return self._rng.expovariate(rate)
+    def expovariate(self, lambd: float) -> float:
+        if lambd <= 0:
+            raise ValueError(f"rate must be positive: {lambd}")
+        return super().expovariate(lambd)
 
     def gauss_factor(self, rel_std: float) -> float:
         """A multiplicative noise factor centred on 1.0, clamped positive."""
-        return max(0.05, self._rng.gauss(1.0, rel_std))
-
-    def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
-
-    def random(self) -> float:
-        return self._rng.random()
-
-    def choice(self, seq):
-        return self._rng.choice(seq)
-
-    def choices(self, seq, weights, k: int):
-        return self._rng.choices(seq, weights=weights, k=k)
-
-    def shuffle(self, seq) -> None:
-        self._rng.shuffle(seq)
+        return max(0.05, self.gauss(1.0, rel_std))

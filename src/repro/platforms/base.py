@@ -100,19 +100,9 @@ class Platform(abc.ABC):
         kernel = self.make_kernel()
         return kernel.runqueue.switch_cost_ns(nr_running)
 
-    def fork_cost_ns(self) -> float:
-        kernel = self.make_kernel()
-        parent = kernel.spawn("bench")
-        kernel.fork(parent.pid)
-        return kernel.clock.now_ns
-
     @abc.abstractmethod
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
         """A kernel instance configured the way this runtime configures it."""
-
-    def spawn_ms(self) -> float:
-        """Container instantiation time."""
-        return self.costs.docker_spawn_ms
 
     # ------------------------------------------------------------------
     # Emulated execution (Fig 4 and Table 1 run real machine code)

@@ -47,7 +47,3 @@ class ClearContainerPlatform(Platform):
             mmu=NativeMmu(self.costs, clock),
             net_device=NetDevice.NESTED_VIRTIO,
         )
-
-    def spawn_ms(self) -> float:
-        # Mini-OS boot + qemu-lite startup per container.
-        return self.costs.docker_spawn_ms + 500.0

@@ -39,6 +39,3 @@ class DockerPlatform(Platform):
         return GuestKernel(
             config, self.costs, clock, mmu=NativeMmu(self.costs, clock)
         )
-
-    def spawn_ms(self) -> float:
-        return self.costs.docker_spawn_ms

@@ -68,6 +68,3 @@ class GraphenePlatform(Platform):
             mmu=NativeMmu(self.costs, clock),
             net_device=NetDevice.DIRECT,
         )
-
-    def spawn_ms(self) -> float:
-        return self.costs.docker_spawn_ms * 1.3

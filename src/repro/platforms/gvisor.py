@@ -52,7 +52,3 @@ class GVisorPlatform(Platform):
             mmu=NativeMmu(self.costs, clock),
             net_device=NetDevice.GVISOR,
         )
-
-    def spawn_ms(self) -> float:
-        # runsc adds Sentry + gofer startup on top of runc.
-        return self.costs.docker_spawn_ms * 1.6

@@ -64,9 +64,3 @@ class UnikernelPlatform(Platform):
                 f"Unikernel supports a single process, not {count} "
                 "(§6.2: 'only support single-process applications')"
             )
-
-    def fork_cost_ns(self) -> float:
-        raise UnsupportedWorkload("Unikernel cannot fork")
-
-    def spawn_ms(self) -> float:
-        return 350.0  # tiny image, but still a VM create

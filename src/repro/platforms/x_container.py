@@ -74,9 +74,6 @@ class XContainerPlatform(Platform):
         # TLB refill, but the page-table install is a hypercall.
         return kernel.runqueue.switch_cost_ns(nr_running)
 
-    def spawn_ms(self) -> float:
-        return self.costs.xl_toolstack_ms + self.costs.xlibos_boot_ms
-
     # ------------------------------------------------------------------
     # Emulated execution uses the REAL X-Container machinery, including
     # ABOM patching real bytes — not the averaged cost above.

@@ -60,7 +60,3 @@ class XenContainerPlatform(Platform):
         # switch is a full flush + kernel refill, and the page-table
         # install is a hypercall.
         return self.xen.context_switch_cost_ns(same_domain=True)
-
-    def spawn_ms(self) -> float:
-        # Same Docker wrapper as X-Containers: xl toolstack + guest boot.
-        return self.costs.xl_toolstack_ms + self.costs.xlibos_boot_ms

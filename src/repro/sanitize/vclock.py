@@ -37,11 +37,3 @@ def vc_join(into: VClock, other: VClock) -> None:
     for actor, time in other.items():
         if time > into.get(actor, 0):
             into[actor] = time
-
-
-def vc_leq(a: VClock, b: VClock) -> bool:
-    """``a ≤ b`` componentwise (``a`` happened-before-or-equals ``b``)."""
-    for actor, time in a.items():
-        if time > b.get(actor, 0):
-            return False
-    return True

@@ -10,7 +10,6 @@ from repro.workloads.clients import (
     BenchReport,
     ClosedLoopClient,
     MemtierBenchmark,
-    WrkClient,
 )
 from repro.workloads.profiles import (
     ALL_PROFILES,
@@ -46,7 +45,6 @@ __all__ = [
     "BenchReport",
     "ClosedLoopClient",
     "MemtierBenchmark",
-    "WrkClient",
     "ALL_PROFILES",
     "NGINX",
     "MEMCACHED",

@@ -1,10 +1,10 @@
 """Client workload generators.
 
-Models of the load generators the paper drives its servers with: ``wrk``
-(Figs 6, 8, 9), Apache ``ab`` (Fig 3 NGINX), ``memtier_benchmark``
-(Fig 3 memcached/Redis).  A generator owns the concurrency level and the
-request mix, runs a :class:`~repro.workloads.base.ServerModel` closed-loop,
-and reports the statistics the paper reports (mean ± std of five runs).
+Models of the Fig 3 load generators: Apache ``ab`` (NGINX) and
+``memtier_benchmark`` (memcached/Redis).  A generator owns the concurrency
+level and the request mix, runs a
+:class:`~repro.workloads.base.ServerModel` closed-loop, and reports the
+statistics the paper reports (mean ± std of five runs).
 """
 
 from __future__ import annotations
@@ -89,16 +89,6 @@ class ClosedLoopClient:
             latency_ms=latency,
         )
 
-
-class WrkClient(ClosedLoopClient):
-    """wrk: multithreaded HTTP generator (Figs 6, 8, 9)."""
-
-    name = "wrk"
-
-    def __init__(self, threads: int = 4, connections_per_thread: int = 8,
-                 seed: str = "wrk") -> None:
-        super().__init__(seed)
-        self.concurrency = threads * connections_per_thread
 
 
 class ApacheBench(ClosedLoopClient):

@@ -1,10 +1,10 @@
 """A functional wrk: drives the real HTTP stack and reports a latency
 histogram measured in *simulated* time.
 
-Complements :class:`repro.workloads.clients.WrkClient` (which prices a
-profile analytically): here every request actually flows — connect,
-parse, RamFS read, respond — and the per-request latency is the simulated
-time the whole path consumed.
+Complements the closed-loop clients of :mod:`repro.workloads.clients`
+(which price a profile analytically): here every request actually
+flows — connect, parse, RamFS read, respond — and the per-request
+latency is the simulated time the whole path consumed.
 """
 
 from __future__ import annotations

@@ -136,9 +136,6 @@ class SplitBlockDriver:
         self.sanitizer = sanitizer
         self.stats = BlockStats()
         self.backend_alive = True
-        #: Optional ring waker (``ExecutionEngine.ring_waker(domid)``):
-        #: response reaps wake the frontend's parked domain.
-        self.waker = None
         self._frontend_actor = "blkfront"
         self._backend_actor = "blkback"
         self._ring_name = "blk"
@@ -190,7 +187,7 @@ class SplitBlockDriver:
             clock=self.clock,
             faults=self.faults,
             site=fault_sites.BLK_BACKEND,
-        )
+        )[0]
 
     def read_many(self, ops: Iterable[tuple[int, int]]) -> list[bytes]:
         """Read a batch of ``(sector, count)`` extents through one ring pass.
@@ -215,7 +212,7 @@ class SplitBlockDriver:
 
     def _read_many_once(
         self, batch: Sequence[tuple[int, int]]
-    ) -> bytes | list[bytes]:
+    ) -> list[bytes]:
         san = self.sanitizer
         if san is not None:
             san.ring_batch_start(self._ring_name, self._frontend_actor)
@@ -245,10 +242,6 @@ class SplitBlockDriver:
         self.stats.batches += 1
         self.stats.kicks_saved += len(batch) - 1
         self._charge_batch(len(batch), total)
-        if self.waker is not None:
-            self.waker.on_ring_reap(len(batch))
-        if len(batch) == 1:
-            return results[0]
         return results
 
     def write(self, sector: int, data: bytes) -> None:
@@ -317,5 +310,3 @@ class SplitBlockDriver:
         self.stats.batches += 1
         self.stats.kicks_saved += len(batch) - 1
         self._charge_batch(len(batch), total)
-        if self.waker is not None:
-            self.waker.on_ring_reap(len(batch))

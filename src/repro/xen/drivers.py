@@ -117,9 +117,6 @@ class SplitNetDriver:
         self.sanitizer = sanitizer
         self.stats = RingStats()
         self.backend_alive = True
-        #: Optional ring waker (``ExecutionEngine.ring_waker(domid)``):
-        #: response reaps wake the frontend's parked domain.
-        self.waker = None
         self._in_flight = 0
         self._frontend_actor = f"dom{guest.domid}"
         self._backend_actor = f"dom{backend.domid}"
@@ -254,9 +251,6 @@ class SplitNetDriver:
         self.stats.kicks_saved += len(batch) - 1
         self.clock.advance(cost)
         self._in_flight = max(0, self._in_flight - len(batch))
-        if self.waker is not None:
-            # The reap completes the frontend's wait: wake its domain.
-            self.waker.on_ring_reap(len(batch))
         return cost
 
     def _restart_backend(self) -> None:
@@ -282,7 +276,8 @@ class SplitNetDriver:
         self.stats.backend_restarts += 1
 
     def per_request_cost_ns(self, nbytes: int) -> float:
-        """Pure cost query without charging (used by the macro models)."""
+        """Pure cost query without charging: the unbatched per-request
+        price the batching tests hold batched transmits against."""
         return self.costs.netfront_ns + nbytes * self.costs.copy_per_byte_ns
 
     def per_batch_cost_ns(self, sizes: Sequence[int]) -> float:

@@ -70,10 +70,6 @@ class EventChannelTable:
         #: Completed batch-scope flushes.
         self.flushes = 0
         self._batch_depth = 0
-        #: Optional wake hub (:class:`repro.core.engine.ExecutionEngine`):
-        #: a notification that lands on a port bound to a parked domain
-        #: registers that domain's wake event with the engine.
-        self.waker = None
 
     def bind(self, handler: Callable[[], None]) -> int:
         port = self._next_port
@@ -151,10 +147,6 @@ class EventChannelTable:
             # batch's single flush for free.
             self.notifications_coalesced += 1
         self.evtchn_upcall_pending = True
-        if self.waker is not None:
-            # Pending-channel delivery wakes a parked domain: the
-            # engine fast-forwards it to this notification.
-            self.waker.on_event(port)
         return True
 
     def pending_ports(self) -> list[int]:

@@ -19,10 +19,9 @@ implements them over the simulated substrates:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
-from repro.arch.memory import PagedMemory, PAGE_SIZE
+from repro.arch.memory import PagedMemory, PAGE_SIZE, _Page
 from repro.faults import sites as fault_sites
 from repro.perf.costs import CostModel
 
@@ -60,11 +59,13 @@ def checkpoint_memory(memory: PagedMemory, registers: dict[str, int],
     )
 
 
-def restore_memory(checkpoint: Checkpoint) -> PagedMemory:
-    """Materialize a fresh memory image from a checkpoint."""
-    from repro.arch.memory import _Page
-
-    memory = PagedMemory()
+def restore_memory(
+    checkpoint: Checkpoint, memory: PagedMemory
+) -> PagedMemory:
+    """Fill ``memory`` with a checkpoint's image, replacing every page it
+    held; returns ``memory``.  Each page is a fresh copy, so the restored
+    image shares nothing with the checkpoint."""
+    memory._pages.clear()
     for index, data in checkpoint.pages.items():
         page = _Page(checkpoint.page_flags[index])
         page.data = bytearray(data)

@@ -56,10 +56,6 @@ class Toolstack:
         )
         self.creations: list[DomainCreation] = []
         self.spawn_timeouts = 0
-        #: Optional wake hub (:class:`repro.core.engine.ExecutionEngine`):
-        #: boot completion is a timer wake for the new domain, so a
-        #: fleet waiting on spawns fast-forwards to each boot's end.
-        self.waker = None
 
     @property
     def costs(self) -> CostModel:
@@ -120,8 +116,6 @@ class Toolstack:
         )
         self.clock.advance(creation.total_ms * 1e6)
         self.creations.append(creation)
-        if self.waker is not None:
-            self.waker.on_timer(domain.domid, self.clock.now_ns)
         return creation
 
     def destroy(self, domid: int) -> None:

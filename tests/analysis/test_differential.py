@@ -6,8 +6,6 @@ from repro.analysis.differential import run_differential
 from repro.analysis.examples import EXAMPLES
 from repro.analysis.sites import discover_binary_sites
 from repro.arch import Assembler, Reg
-from repro.core import CountingServices, XContainer
-from repro.core.offline import OfflinePatcher
 
 
 class TestDecisionDiff:
@@ -119,41 +117,3 @@ class TestTraceCacheDiff:
         diff = report.as_dict()["differential"]
         assert diff["tracecache_trap_mismatches"] == 0
         assert diff["tracecache_byte_mismatch_regions"] == 0
-
-
-class TestOfflineConvergence:
-    def test_patch_discovered_matches_symbol_list_patching(self):
-        """Discovered-site patching == the paper's symbol-list workflow."""
-        def build():
-            asm = Assembler(base=0x400000)
-            asm.entry()
-            asm.mov_imm32(Reg.RBX, 4)
-            asm.label("loop")
-            asm.syscall_site(
-                3, style="cancellable", cancel_gap=4, symbol="pthread_close"
-            )
-            asm.dec(Reg.RBX)
-            asm.jne("loop")
-            asm.hlt()
-            return asm.build("wrapped")
-
-        by_symbols = XContainer(CountingServices())
-        binary = build()
-        by_symbols.load(binary)
-        OfflinePatcher(by_symbols.memory).patch_sites(binary, binary.sites)
-
-        by_discovery = XContainer(CountingServices())
-        binary2 = build()
-        by_discovery.load(binary2)
-        report = OfflinePatcher(by_discovery.memory).patch_discovered(binary2)
-        assert len(report.patched) == 1
-
-        size = len(binary.code)
-        assert by_symbols.memory.read(binary.base, size) == (
-            by_discovery.memory.read(binary2.base, size)
-        )
-        # And the discovered-site patch behaves: all lightweight.
-        result = by_discovery.run_loaded(binary2.entry)
-        assert result is not None
-        assert by_discovery.libos_stats.forwarded_syscalls == 0
-        assert by_discovery.libos_stats.lightweight_syscalls == 4

@@ -7,8 +7,6 @@ from repro.analysis.safety import Severity, verify_sites
 from repro.analysis.sites import discover_sites
 from repro.arch import Assembler, Reg
 from repro.arch.encoding import enc_jmp_rel32
-from repro.core import CountingServices, XContainer
-from repro.core.offline import OfflinePatcher
 
 
 def findings_for(binary):
@@ -113,26 +111,6 @@ class TestOfflineRegions:
         assert warn[0].severity is Severity.WARNING
         # A warning is not an ERROR: ABOM forwarding still works.
         assert kinds(findings, Severity.ERROR) == set()
-
-    def test_patch_discovered_skips_flagged_wrapper(self):
-        binary = self._wrapper_with_interior_jump()
-        xc = XContainer(CountingServices())
-        xc.load(binary)
-        report = OfflinePatcher(xc.memory).patch_discovered(binary)
-        assert report.patched == []
-        assert report.skipped  # the flagged site, by address
-
-    def test_patch_discovered_patches_clean_wrapper(self):
-        asm = Assembler(base=0x400000)
-        asm.entry()
-        asm.syscall_site(3, style="cancellable", cancel_gap=4)
-        asm.hlt()
-        binary = asm.build()
-        xc = XContainer(CountingServices())
-        xc.load(binary)
-        report = OfflinePatcher(xc.memory).patch_discovered(binary)
-        assert len(report.patched) == 1
-        assert report.skipped == []
 
 
 class TestUndecodableBytes:

@@ -3,10 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sites import (
-    discover_binary_sites,
-    reconcile_with_metadata,
-)
+from repro.analysis.sites import discover_binary_sites
 from repro.arch import Assembler, Reg
 from repro.arch.binary import SitePattern
 from repro.core import CountingServices, XContainer
@@ -113,30 +110,6 @@ class TestClassification:
         slot = slot_addr(7)
         assert site.predicted_bytes[3:7] == (
             slot & 0xFFFFFFFF).to_bytes(4, "little")
-
-    def test_reconcile_pairs_declared_with_discovered(self):
-        asm = Assembler()
-        asm.syscall_site(0, style="mov_eax", symbol="__read")
-        asm.syscall_site(3, style="cancellable", symbol="__close")
-        asm.hlt()
-        binary = asm.build()
-        pairs = reconcile_with_metadata(discover(binary), binary)
-        assert len(pairs) == 2
-        for declared, found in pairs:
-            assert found is not None
-            assert found.pattern is declared.pattern
-            assert found.nr == declared.nr
-
-    def test_unreachable_declared_site_reconciles_to_none(self):
-        asm = Assembler()
-        asm.hlt()
-        asm.label("dead")
-        declared = asm.syscall_site(0, style="mov_eax")
-        asm.hlt()
-        binary = asm.build()
-        binary.symbols.pop("dead")  # not an entry: genuinely unreachable
-        pairs = reconcile_with_metadata(discover(binary), binary)
-        assert pairs == [(declared, None)]
 
 
 # ----------------------------------------------------------------------

@@ -84,15 +84,21 @@ class TestWorker:
 
 class TestWakeProtocol:
     def test_spurious_wake_reparks_cheaply(self):
-        engine = ExecutionEngine()
-        dom = engine.spawn()
-        before = engine.stats.instructions
-        engine.post_kick(dom.domid)
-        engine.run_until(2e6)
-        assert engine.stats.spurious_wakes == 1
-        assert dom.parked
+        # Two posts on one tick: the first burst drains both payloads,
+        # so the second kick finds an empty mailbox.
+        one, two = ExecutionEngine(), ExecutionEngine()
+        one.spawn()
+        two.spawn()
+        one.post_work(0, 2, at_ns=0.0)
+        two.post_work(0, 1, at_ns=0.0)
+        two.post_work(0, 1, at_ns=0.0)
+        one.run_until(2e6)
+        two.run_until(2e6)
+        assert one.stats.spurious_wakes == 0
+        assert two.stats.spurious_wakes == 1
+        assert two.domain(0).parked
         # hlt resume + mailbox load + compare + branch back to hlt.
-        assert engine.stats.instructions - before < 10
+        assert two.stats.instructions - one.stats.instructions < 10
 
     def test_kicks_coalesce_into_one_burst(self):
         engine = ExecutionEngine()
@@ -148,39 +154,6 @@ class TestWakeProtocol:
             assert "tick grid" in str(exc)
         else:
             raise AssertionError("off-grid run_until must be rejected")
-
-
-class TestExternalWakeSources:
-    def test_event_channel_send_wakes_bound_domain(self):
-        from repro.perf.costs import CostModel
-        from repro.xen.events import EventChannelTable
-
-        engine = ExecutionEngine()
-        dom = engine.spawn()
-        table = EventChannelTable(CostModel(), engine.clock)
-        engine.attach_events(table)
-        port = table.bind(lambda: None)
-        engine.bind_port(port, dom.domid)
-        dom.pending_units = 0
-        assert table.send(port)
-        engine.run_until(2e6)
-        assert engine.stats.wake_events == 1
-
-    def test_timer_wake_from_toolstack(self):
-        engine = ExecutionEngine()
-        dom = engine.spawn()
-        engine.on_timer(dom.domid, 7e6)
-        engine.run_until(10e6)
-        assert engine.stats.wake_events == 1
-        assert dom.clock.now_ns >= 8e6
-
-    def test_ring_reap_wakes_frontend_domain(self):
-        engine = ExecutionEngine()
-        dom = engine.spawn()
-        waker = engine.ring_waker(dom.domid)
-        waker.on_ring_reap(3)
-        engine.run_until(2e6)
-        assert engine.stats.wake_events == 1
 
 
 class TestFaults:
@@ -300,7 +273,9 @@ class TestByteIdentity:
             engine.post_work(0, 2, at_ns=1e6)
             engine.post_work(1, 3, at_ns=1e6)
             engine.retire(1)
-            engine.post_kick(2, at_ns=5e6)
+            # Coalesced posts: the second kick is a spurious wake.
+            engine.post_work(2, 1, at_ns=5e6)
+            engine.post_work(2, 1, at_ns=5e6)
             engine.run_until(20e6)
         _assert_identical(*engines)
 

@@ -3,7 +3,6 @@ import pytest
 from repro.core.tcb import (
     PROFILES,
     compare_to_docker,
-    process_isolation_redundant,
     profile,
 )
 
@@ -61,20 +60,3 @@ class TestIsolationProfiles:
         assert rows["docker"].tcb_vs_docker == 1.0
         assert rows["x-container"].tcb_vs_docker < 0.05
         assert rows["x-container"].surface_vs_docker < 0.15
-
-
-class TestSingleConcernPrinciple:
-    def test_process_isolation_redundant_for_single_concern(self):
-        """§2.2: within a single-concerned container, processes of the
-        same service are mutually trusting."""
-        assert process_isolation_redundant(
-            single_concerned=True, processes_mutually_trusting=True
-        )
-
-    def test_not_redundant_for_multi_tenant_containers(self):
-        assert not process_isolation_redundant(
-            single_concerned=False, processes_mutually_trusting=True
-        )
-        assert not process_isolation_redundant(
-            single_concerned=True, processes_mutually_trusting=False
-        )

@@ -8,7 +8,7 @@ byte-identical for the same seed + plan.
 
 import pytest
 
-from repro.faults import get_scenario, list_scenarios, scenario_names, sites
+from repro.faults import get_scenario, scenario_names, sites
 from repro.faults.chaos import (
     ChaosHarness,
     InvariantViolation,
@@ -106,7 +106,7 @@ class TestCatalog:
     def test_declared_substrates_are_injected(self):
         report = run_scenarios(42)
         by_name = {r.name: r for r in report.results}
-        for scenario in list_scenarios():
+        for scenario in map(get_scenario, scenario_names()):
             result = by_name[scenario.name]
             missing = set(scenario.substrates) - set(
                 result.injected_substrates

@@ -1,14 +1,13 @@
-"""The scenario registry.
+"""The scenario catalog and its lookups.
 
-The registry is the canonical scenario surface: registration order is
-the catalog order, and unknown-name errors list the catalog sorted.
+Build order is the catalog (report) order, names are unique, and
+unknown-name errors list the catalog sorted.
 """
 
 import pytest
 
 from repro.faults import registry
-from repro.faults.chaos import Scenario
-from repro.faults.plan import FaultPlan
+from repro.faults.scenarios import CATALOG, _build_catalog
 
 #: The 9 hand-written scenarios + the promoted fuzz sequence.
 EXPECTED_CATALOG = [
@@ -25,28 +24,17 @@ EXPECTED_CATALOG = [
 ]
 
 
-def _scenario(name):
-    return Scenario(
-        name=name,
-        description="test scenario",
-        substrates=(),
-        default_plan=lambda seed: FaultPlan((), seed),
-        body=lambda ctx: {},
-    )
-
-
 class TestRegistry:
     def test_shipped_catalog_registers_in_order(self):
         assert registry.scenario_names() == EXPECTED_CATALOG
 
-    def test_list_scenarios_matches_names(self):
-        assert [
-            s.name for s in registry.list_scenarios()
-        ] == registry.scenario_names()
+    def test_names_are_unique(self):
+        # A duplicate name would collapse into one mapping entry.
+        assert [s.name for s in _build_catalog()] == list(CATALOG)
 
     def test_get_scenario_returns_the_registered_object(self):
         scenario = registry.get_scenario("nginx-packet-loss")
-        assert scenario.name == "nginx-packet-loss"
+        assert scenario is CATALOG["nginx-packet-loss"]
 
     def test_unknown_name_error_lists_catalog_sorted(self):
         with pytest.raises(KeyError) as caught:
@@ -56,25 +44,8 @@ class TestRegistry:
         listed = message.split("known: ")[1].rstrip("\")'").split(", ")
         assert listed == sorted(registry.scenario_names())
 
-    def test_register_and_unregister(self):
-        try:
-            registry.register(_scenario("temp-entry"))
-            assert "temp-entry" in registry.scenario_names()
-        finally:
-            registry.unregister("temp-entry")
-        assert "temp-entry" not in registry.scenario_names()
-
-    def test_duplicate_registration_rejected(self):
-        try:
-            registry.register(_scenario("temp-dup"))
-            with pytest.raises(ValueError, match="already registered"):
-                registry.register(_scenario("temp-dup"))
-        finally:
-            registry.unregister("temp-dup")
-
     def test_package_exports_the_registry_surface(self):
         import repro.faults as faults
 
-        assert faults.scenario_names() == registry.scenario_names()
+        assert faults.scenario_names is registry.scenario_names
         assert faults.get_scenario is registry.get_scenario
-        assert faults.register is registry.register

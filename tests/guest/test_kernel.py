@@ -221,6 +221,15 @@ class TestEmulatorServices:
         assert kernel.invoke(300, cpu) == 0
         assert kernel.stats.syscalls == 1
 
+    def test_bare_rt_sigreturn_returns_zero_and_charges_nothing(self):
+        kernel, clock = make_kernel()
+        cpu = self.FakeCpu()
+        kernel.invoke(SYS["getpid"], cpu)  # boot the emulator process
+        before = clock.now_ns
+        assert kernel.invoke(SYS["rt_sigreturn"], cpu) == 0
+        # Not the accounted no-op path, which charges 0.2 x vfs_op_ns.
+        assert clock.now_ns == before
+
     def test_fork_via_emulator(self):
         kernel, _ = make_kernel()
         cpu = self.FakeCpu()

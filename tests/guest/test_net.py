@@ -3,9 +3,7 @@ import pytest
 from repro.guest.config import KernelConfig
 from repro.guest.ipvs import IPVS, IpvsMode
 from repro.guest.modules import KNOWN_MODULES, ModuleLoadError, ModuleRegistry
-from repro.guest.netfilter import Netfilter
 from repro.guest.netstack import NetDevice, NetStack
-from repro.perf.costs import CostModel
 
 
 class TestModules:
@@ -41,34 +39,6 @@ class TestModules:
         """§5.7 mentions Soft-iwarp and Soft-ROCE explicitly."""
         assert "siw" in KNOWN_MODULES
         assert "rdma_rxe" in KNOWN_MODULES
-
-
-class TestNetfilter:
-    def test_dnat_translate(self):
-        nf = Netfilter()
-        nf.add_dnat(8080, "172.17.0.2", 80)
-        rule, cost = nf.translate(8080)
-        assert rule.dest_host == "172.17.0.2"
-        assert cost == CostModel().iptables_dnat_ns
-        assert nf.stats.translations == 1
-
-    def test_duplicate_port_rejected(self):
-        nf = Netfilter()
-        nf.add_dnat(80, "a", 80)
-        with pytest.raises(ValueError):
-            nf.add_dnat(80, "b", 80)
-
-    def test_missing_rule_drops(self):
-        nf = Netfilter()
-        with pytest.raises(KeyError):
-            nf.translate(9999)
-        assert nf.stats.dropped == 1
-
-    def test_remove(self):
-        nf = Netfilter()
-        nf.add_dnat(80, "a", 80)
-        nf.remove_dnat(80)
-        assert nf.lookup(80) is None
 
 
 class TestNetStack:

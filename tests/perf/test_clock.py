@@ -1,6 +1,6 @@
 import pytest
 
-from repro.perf.clock import SimClock, Stopwatch
+from repro.perf.clock import SimClock
 
 
 class TestSimClock:
@@ -49,23 +49,3 @@ class TestSimClock:
     def test_reset_negative_rejected(self):
         with pytest.raises(ValueError):
             SimClock().reset(-3.0)
-
-
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        watch.start()
-        clock.advance(42.0)
-        assert watch.stop() == 42.0
-
-    def test_context_manager(self):
-        clock = SimClock()
-        with Stopwatch(clock) as watch:
-            clock.advance(7.0)
-        assert watch.elapsed_ns == 7.0
-
-    def test_stop_without_start_rejected(self):
-        watch = Stopwatch(SimClock())
-        with pytest.raises(RuntimeError):
-            watch.stop()

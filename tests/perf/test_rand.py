@@ -21,7 +21,7 @@ class TestDeterministicRng:
         child2 = DeterministicRng(7).fork("worker")
         assert child1.random() == child2.random()
         other = DeterministicRng(7).fork("other")
-        assert child1.seed != other.seed
+        assert child1.root_seed != other.root_seed
 
     def test_gauss_factor_clamped_positive(self):
         rng = DeterministicRng(1)

@@ -101,8 +101,6 @@ class TestCapabilities:
         unikernel.require_processes(1)
         with pytest.raises(UnsupportedWorkload):
             unikernel.require_processes(4)
-        with pytest.raises(UnsupportedWorkload):
-            unikernel.fork_cost_ns()
 
     def test_kernel_module_support(self):
         """§5.7: X-Containers can load modules, Docker/gVisor cannot."""
@@ -126,24 +124,10 @@ class TestCapabilities:
 
 
 class TestLifecycleCosts:
-    def test_x_container_fork_slower_than_docker(self):
-        """§5.4: page-table operations must go through the X-Kernel."""
-        assert (
-            XContainerPlatform().fork_cost_ns()
-            > DockerPlatform().fork_cost_ns()
-        )
-
     def test_x_container_ctx_switch_slower_than_docker_unpatched(self):
         assert (
             XContainerPlatform().ctx_switch_cost_ns(4)
             > DockerPlatform(patched=False).ctx_switch_cost_ns(4)
-        )
-
-    def test_spawn_costs(self):
-        assert DockerPlatform().spawn_ms() < XContainerPlatform().spawn_ms()
-        assert (
-            XContainerPlatform().spawn_ms()
-            == XenContainerPlatform().spawn_ms()
         )
 
 

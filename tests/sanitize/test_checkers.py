@@ -8,7 +8,7 @@ and the correctly synchronized counterpart stays clean.
 from repro.sanitize.grants import GrantSanitizer
 from repro.sanitize.protocol import ProtocolChecker
 from repro.sanitize.race import RaceDetector
-from repro.sanitize.vclock import vc_fresh, vc_join, vc_leq
+from repro.sanitize.vclock import vc_fresh, vc_join
 
 
 class TestVectorClocks:
@@ -19,11 +19,6 @@ class TestVectorClocks:
         into = {"a": 3, "b": 1}
         vc_join(into, {"b": 5, "c": 2})
         assert into == {"a": 3, "b": 5, "c": 2}
-
-    def test_leq_is_pointwise(self):
-        assert vc_leq({"a": 1}, {"a": 2, "b": 1})
-        assert not vc_leq({"a": 2}, {"a": 1})
-        assert not vc_leq({"a": 1, "c": 1}, {"a": 1})
 
 
 class TestRaceDetector:

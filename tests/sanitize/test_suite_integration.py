@@ -149,24 +149,6 @@ class TestSuiteWiring:
         pages = {r.page for r in suite.rings.rings()}
         assert len(pages) == 2
 
-    def test_telemetry_binding_exposes_sanitize_counters(self):
-        from repro.obs.registry import Registry
-        from repro.obs.wire import wire_sanitizers
-
-        suite = SanitizerSuite()
-        name = suite.ring_register("t", 4, 16)
-        suite.ring_batch_start(name, "a")
-        suite.ring_publish(name, "a")
-        suite.ring_kick(name, "a")
-        suite.ring_reap(name, "b", 1)
-        registry = Registry()
-        wire_sanitizers(registry, suite)
-        assert registry.value("sanitize_ring_publishes_total") == 1
-        assert registry.value("sanitize_ring_consumes_total") == 1
-        assert (
-            registry.value("sanitize_findings_total", checker="race") == 0
-        )
-
     def test_stats_names_are_stable(self):
         suite = SanitizerSuite()
         assert [name for name, _ in suite.stats()] == [

@@ -176,33 +176,30 @@ class TestChaosCommand:
         assert "can't open" in capsys.readouterr().err
 
 
-#: The seeded-defect ``repro fuzz`` run, and the ``run_fuzz`` arguments
-#: the CLI derives from it (the seed stays a string).
+#: The seeded-defect ``repro fuzz`` run: the session fixture
+#: ``blk_lost_write_report`` (``tests/conftest.py``) holds its report.
 DEFECT_ARGV = [
     "fuzz", "--seed", "7", "--max-examples", "15", "--steps", "15",
     "--defect", "blk-lost-write",
 ]
-DEFECT_KWARGS = dict(
-    seed="7", max_examples=15, steps=15, defect="blk-lost-write"
-)
 
 
 class TestFuzzCommand:
-    @pytest.fixture(scope="class")
-    def defect_report(self):
-        """One shrink of the seeded defect, shared by the tests below."""
-        from repro.fuzz.machine import run_fuzz
-
-        return run_fuzz(**DEFECT_KWARGS)
-
     @pytest.fixture
-    def shared_defect_run(self, monkeypatch, defect_report):
-        """Stand in for ``run_fuzz``: check the CLI's arguments, then
-        return the shared report."""
+    def shared_defect_run(self, monkeypatch, blk_lost_write_report):
+        """Stand in for ``run_fuzz``: check that the CLI asks for the
+        session's shared run (an int seed, as the library takes it),
+        then return that run's report."""
+        report = blk_lost_write_report
 
         def run_fuzz(**kwargs):
-            assert kwargs == DEFECT_KWARGS
-            return defect_report
+            assert kwargs == dict(
+                seed=report.seed,
+                max_examples=report.max_examples,
+                steps=report.step_budget,
+                defect=report.defect,
+            )
+            return report
 
         monkeypatch.setattr("repro.fuzz.machine.run_fuzz", run_fuzz)
 
@@ -214,7 +211,7 @@ class TestFuzzCommand:
         assert "result: clean" in out
         assert "rule kinds: 14" in out
 
-    def test_json_format(self, capsys):
+    def test_fuzz_json_format(self, capsys):
         assert main(
             ["fuzz", "--seed", "0", "--max-examples", "2", "--steps", "8",
              "--format", "json"]

@@ -1,17 +1,10 @@
 import pytest
 
-from repro.cloud import EC2, GCE, LOCAL_CLUSTER, site_by_name
+from repro.cloud import EC2, GCE, LOCAL_CLUSTER
 from repro.platforms import ClearContainerPlatform, DockerPlatform
 
 
 class TestCloudSites:
-    def test_lookup(self):
-        assert site_by_name("amazon") is EC2
-        assert site_by_name("google") is GCE
-        assert site_by_name("local") is LOCAL_CLUSTER
-        with pytest.raises(KeyError):
-            site_by_name("azure")
-
     def test_ec2_has_no_nested_hw_virt(self):
         """§1: 'most public and private clouds, including Amazon EC2, do
         not support nested hardware virtualization'."""

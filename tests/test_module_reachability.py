@@ -1,11 +1,19 @@
-"""Every module under ``src/repro`` is reached from an entry point.
+"""Every module under ``src/repro`` is reached from an entry point, and
+every public top-level function and class is named by some other code.
 
-The scan starts at ``repro.cli`` and the two ``python -m`` entry points,
-``repro.__main__`` and ``repro.analysis.lint``, and follows every
+The module scan starts at ``repro.cli`` and the two ``python -m`` entry
+points, ``repro.__main__`` and ``repro.analysis.lint``, and follows every
 ``import`` and ``from … import`` with ``ast``, including the imports
 inside functions, because the CLI imports lazily.  ``from package import
 name`` resolves through the package ``__init__`` to the module that
 defines ``name``, so a package re-export keeps no module alive.
+
+The member scan is static and goes by name alone, so it is a lower
+bound: a definition passes when its name is loaded, or accessed as an
+attribute, anywhere in ``src/repro``, ``examples/`` or ``e2ebench/``
+outside the definition itself.  Imports, ``__all__`` and docstrings name
+nothing, so a re-export or a test keeps no function or class alive.
+Methods are not checked.
 """
 
 from __future__ import annotations
@@ -14,8 +22,11 @@ import ast
 import functools
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 ENTRY_POINTS = ("repro.cli", "repro.__main__", "repro.analysis.lint")
+#: Code whose name uses keep a definition alive (tests do not count).
+USER_DIRS = (SRC / "repro", ROOT / "examples", ROOT / "e2ebench")
 
 
 def _module_files() -> dict[str, Path]:
@@ -112,4 +123,70 @@ def test_every_module_is_reached_from_an_entry_point():
     assert unreached == [], (
         "modules that no command, experiment or entry point imports: "
         + ", ".join(unreached)
+    )
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions() -> set[tuple[str, str]]:
+    """``(module, name)`` of every public top-level function and class."""
+    return {
+        (module, node.name)
+        for module in FILES
+        for node in _tree(module).body
+        if isinstance(node, _DEFS) and not node.name.startswith("_")
+    }
+
+
+def _collect_uses(path: Path, tree: ast.Module, uses: dict) -> None:
+    """Record each load or attribute access in ``tree`` under its name,
+    as ``(path, enclosing top-level definition or "")``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, _DEFS) else ""
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            uses.setdefault(name, set()).add((path, owner))
+
+
+def _name_uses() -> dict[str, set[tuple[Path, str]]]:
+    uses: dict[str, set[tuple[Path, str]]] = {}
+    for folder in USER_DIRS:
+        for path in sorted(folder.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            _collect_uses(path, tree, uses)
+    return uses
+
+
+def test_member_scan_counts_loads_and_attributes_only():
+    uses: dict = {}
+    source = (
+        "from a import imported\n"
+        "__all__ = ['exported']\n"
+        "def f():\n"
+        "    'documented'\n"
+        "    return loaded + obj.attr + f()\n"
+        "stored = 1\n"
+    )
+    _collect_uses(Path("m.py"), ast.parse(source), uses)
+    assert sorted(uses) == ["attr", "f", "loaded", "obj"]
+    # f's call of itself is inside its own definition.
+    assert uses["f"] == {(Path("m.py"), "f")}
+
+
+def test_every_public_function_and_class_is_named_outside_itself():
+    uses = _name_uses()
+    unnamed = sorted(
+        f"{module}.{name}"
+        for module, name in _public_definitions()
+        if not uses.get(name, set()) - {(FILES[module], name)}
+    )
+    assert unnamed == [], (
+        "public top-level functions and classes that no code in "
+        "src/repro, examples/ or e2ebench/ names: " + ", ".join(unnamed)
     )

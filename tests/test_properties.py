@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.guest.netfilter import Netfilter
 from repro.guest.sched import RunQueue
 from repro.perf.costs import CostModel
 from repro.xen.scheduler import CreditScheduler
@@ -70,23 +69,3 @@ class TestSchedulerProperties:
         rq = RunQueue()
         capacity = rq.effective_capacity(1e9, cpus, nr_running=tasks)
         assert 0.0 <= capacity <= cpus * 1e9
-
-
-class TestNetfilterProperties:
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 65535), st.integers(1, 65535)),
-            min_size=1,
-            max_size=30,
-            unique_by=lambda t: t[0],
-        )
-    )
-    def test_every_added_rule_translates(self, rules):
-        nf = Netfilter()
-        for public, dest in rules:
-            nf.add_dnat(public, "10.0.0.2", dest)
-        for public, dest in rules:
-            rule, cost = nf.translate(public)
-            assert rule.dest_port == dest
-            assert cost > 0
-        assert nf.stats.translations == len(rules)

@@ -3,12 +3,7 @@ import pytest
 from repro.cloud.instances import EC2
 from repro.platforms import DockerPlatform
 from repro.workloads.base import ServerModel
-from repro.workloads.clients import (
-    DEFAULT_RUNS,
-    ApacheBench,
-    MemtierBenchmark,
-    WrkClient,
-)
+from repro.workloads.clients import DEFAULT_RUNS, ApacheBench, MemtierBenchmark
 from repro.workloads.profiles import MEMCACHED, NGINX
 
 
@@ -28,10 +23,6 @@ class TestClients:
             ServerModel(DockerPlatform(), EC2), NGINX
         )
         assert a.mean_throughput == b.mean_throughput
-
-    def test_wrk_concurrency(self):
-        wrk = WrkClient(threads=4, connections_per_thread=8)
-        assert wrk.concurrency == 32
 
     def test_memtier_blends_set_get(self):
         """1:10 SET:GET shifts payload bytes between directions."""

@@ -306,6 +306,12 @@ class TestBlockBatch:
         assert driver.stats.batches == 2  # one write batch, one read batch
         assert driver.stats.kicks_saved == 2
 
+    def test_read_many_of_one_extent_is_a_list(self):
+        driver, _ = self.make()
+        driver.write(0, b"a" * 512)
+        assert driver.read_many([(0, 1)]) == [b"a" * 512]
+        assert driver.read(0) == b"a" * 512
+
     def test_batch_of_one_costs_like_single(self):
         a, clock_a = self.make()
         b, clock_b = self.make()

@@ -17,7 +17,7 @@ class TestCheckpointRestoreMemory:
         memory.map_region(0x5000, 4096, PageFlags.USER)
         memory.write(0x1000, b"state")
         ckpt = checkpoint_memory(memory, {"rip": 0x42}, "t")
-        restored = restore_memory(ckpt)
+        restored = restore_memory(ckpt, PagedMemory())
         assert restored.read(0x1000, 5) == b"state"
         assert restored.page_flags(0x5000) == memory.page_flags(0x5000)
 
@@ -25,7 +25,7 @@ class TestCheckpointRestoreMemory:
         memory = PagedMemory()
         memory.map_region(0x1000, 4096, PageFlags.USER | PageFlags.WRITABLE)
         ckpt = checkpoint_memory(memory, {}, "t")
-        restored = restore_memory(ckpt)
+        restored = restore_memory(ckpt, PagedMemory())
         restored.write(0x1000, b"x")
         assert memory.read(0x1000, 1) == b"\x00"
 
