@@ -57,6 +57,7 @@ SEED_BASELINE = {
     "test_ring_batch_ablation": None,
     "test_serve_fleet_request_rate": None,
     "test_fleet_scale_1000": None,
+    "test_trapped_syscall_rate": None,
 }
 
 

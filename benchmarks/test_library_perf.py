@@ -15,7 +15,9 @@ from repro.core import CountingServices, XContainer
 from repro.core.abom import ABOM
 from repro.guest.kernel import GuestKernel
 from repro.guest.socket import VirtualNetwork
+from repro.platforms import DockerPlatform
 from repro.workloads.http import HttpClient, StaticHttpServer
+from repro.workloads.unixbench import build_syscall_bench
 
 
 def _counting_binary():
@@ -150,6 +152,22 @@ def test_syscall_dispatch_rate(benchmark, record_rate):
     tel = last["xc"].telemetry()
     # Counters are integers: int() the registry reads (collection
     # returns floats) so the JSON never reports "hits": 1499.0.
+    trace = {
+        "compiles": int(tel.value("arch_trace_compiles_total")),
+        "executions": int(tel.value("arch_trace_executions_total")),
+        "instructions": int(tel.value("arch_trace_instructions_total")),
+        "guard_exits": int(tel.value("arch_trace_guard_exits_total")),
+        "invalidations": int(tel.value("arch_trace_invalidations_total")),
+    }
+    # Exact: the first iteration traps and ABOM patches the site, then
+    # one trace runs the converted loop to its exit (1,798 of 2,002).
+    assert trace == {
+        "compiles": 2,
+        "executions": 1,
+        "instructions": 1798,
+        "guard_exits": 1,
+        "invalidations": 0,
+    }
     record_rate(
         benchmark,
         total,
@@ -158,14 +176,44 @@ def test_syscall_dispatch_rate(benchmark, record_rate):
             "misses": int(tel.value("arch_icache_misses_total")),
             "invalidations": int(tel.value("arch_icache_invalidations_total")),
         },
-        trace={
-            "compiles": int(tel.value("arch_trace_compiles_total")),
-            "executions": int(tel.value("arch_trace_executions_total")),
-            "instructions": int(tel.value("arch_trace_instructions_total")),
-            "guard_exits": int(tel.value("arch_trace_guard_exits_total")),
-            "invalidations": int(tel.value("arch_trace_invalidations_total")),
-        },
+        trace=trace,
     )
+
+
+def test_trapped_syscall_rate(benchmark, record_rate, monkeypatch):
+    """Trapped syscalls: Docker's ``run_binary`` of the Fig 4 loop (1,000
+    iterations, 5,000 syscalls), each one delivered to the platform's
+    trap handler from inside the compiled trace."""
+    binary = build_syscall_bench(1000)
+    platform = DockerPlatform()
+    cpus = []
+
+    def make_cpu(*args, **kwargs):
+        cpus.append(CPU(*args, **kwargs))
+        return cpus[-1]
+
+    monkeypatch.setattr("repro.platforms.base.CPU", make_cpu)
+
+    def run():
+        return platform.run_binary(binary).syscalls
+
+    total = benchmark(run)
+    assert total == 5000
+    cpu = cpus[-1]
+    trace = cpu.trace_stats.as_dict()
+    del trace["code_bytes"]
+    # Exact: after 50 warm-up iterations, one of the six rotations of
+    # the loop runs to its exit, syscalls included (11,398 of 12,002).
+    assert cpu.instructions_retired == 12002
+    assert trace == {
+        "compiles": 6,
+        "aborts": 0,
+        "executions": 1,
+        "instructions": 11398,
+        "guard_exits": 1,
+        "invalidations": 0,
+    }
+    record_rate(benchmark, total, trace=trace)
 
 
 def test_functional_http_request_rate(benchmark, record_rate):

@@ -44,7 +44,7 @@ from repro.arch.encoding import (
     decode,
 )
 from repro.arch.memory import PAGE_SHIFT, PAGE_SIZE, PagedMemory, PageFault
-from repro.arch.registers import Reg, RegisterFile, to_signed64
+from repro.arch.registers import RegisterFile, to_signed64
 from repro.arch.tracecache import TraceCache, TraceStats
 from repro.perf.clock import SimClock
 
@@ -62,13 +62,19 @@ class TrapKind(enum.Enum):
 
 
 class Trap(Exception):
-    """An architectural trap delivered to the platform's kernel model."""
+    """An architectural trap delivered to the platform's kernel model.
+
+    Every executed ``syscall`` builds one, so the message is formatted
+    only when the trap is printed.
+    """
 
     def __init__(self, kind: TrapKind, rip: int, detail: str = "") -> None:
-        super().__init__(f"{kind.value} at {rip:#x} {detail}".strip())
         self.kind = kind
         self.rip = rip
         self.detail = detail
+
+    def __str__(self) -> str:
+        return f"{self.kind.value} at {self.rip:#x} {self.detail}".strip()
 
 
 class CpuHalted(Exception):
@@ -95,10 +101,25 @@ def _h_hlt(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     cpu.halted = True
 
 
+def deliver_syscall(cpu: "CPU", rip: int) -> None:
+    """Deliver the ``syscall`` at ``rip`` to ``cpu``'s trap handler.
+
+    The one owner of syscall delivery: the interpreter's ``syscall``
+    handler and compiled traces (:mod:`repro.arch.tracecache`) both call
+    it, with registers, RIP, the retired count and the clock already in
+    their interpreter-visible state.  The caller retires the instruction.
+    """
+    trap = Trap(TrapKind.SYSCALL, rip)
+    handler = cpu.trap_handler
+    if handler is None:
+        raise trap
+    handler(cpu, trap)
+
+
 def _h_syscall(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     # Deliver BEFORE advancing RIP: handlers (the X-Kernel's ABOM hook in
     # particular) need the syscall instruction's address.
-    cpu._deliver(Trap(TrapKind.SYSCALL, cpu.regs.rip))
+    deliver_syscall(cpu, cpu.regs.rip)
 
 
 def _h_int3(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
@@ -521,14 +542,21 @@ class CPU:
 
     def _invalidate_written(self, addr: int, size: int) -> None:
         """Write-observer hook: drop blocks decoded from written pages."""
-        tc = self._tracecache
-        if tc is not None and (tc.traces or tc.failed):
-            tc.invalidate_range(addr >> PAGE_SHIFT, (addr + size - 1) >> PAGE_SHIFT)
-        page_blocks = self._page_blocks
-        if not page_blocks:
-            return
         first = addr >> PAGE_SHIFT
         last = (addr + size - 1) >> PAGE_SHIFT
+        page_blocks = self._page_blocks
+        tc = self._tracecache
+        if (
+            first == last
+            and first not in page_blocks
+            and (tc is None or first not in tc.page_traces)
+        ):
+            # A data store (a stack push, say): no text to drop.
+            return
+        if tc is not None and (tc.traces or tc.failed):
+            tc.invalidate_range(first, last)
+        if not page_blocks:
+            return
         for index in range(first, last + 1):
             starts = page_blocks.get(index)
             if not starts:

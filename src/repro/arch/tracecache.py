@@ -34,11 +34,15 @@ Correctness is guard-based, exactly like a hardware trace cache:
   racing vCPU between quanta) aborts to the interpreter before any
   stale instruction runs.
 
-A trace never contains ``syscall``/``int3``/``hlt`` — those always exit
-to the interpreter, which owns trap delivery.  Instruction accounting
-and simulated-clock charging are synchronized before every native-stub
-call and at every exit, so counters and timestamps observable from
-Python (stubs, trap handlers) match interpreted execution exactly.
+A ``syscall`` compiles into a guarded call to
+:func:`repro.arch.cpu.deliver_syscall`, the function the interpreter's
+own ``syscall`` handler calls, so trap delivery keeps one owner; the
+trace resumes only if the handler left RIP at the next instruction, the
+CPU running and the trace live.  ``int3`` and ``hlt`` still end a trace.
+Instruction accounting and simulated-clock charging are synchronized
+before every native-stub call and ``syscall`` and at every exit, so
+counters and timestamps observable from Python (stubs, trap handlers)
+match interpreted execution exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.arch.memory import PAGE_SHIFT, PageFault
+from repro.arch.memory import PageFault
 from repro.arch.encoding import InvalidOpcode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,10 +70,12 @@ MAX_TRACE_BLOCKS = 32
 #: Linear (non-looping) traces shorter than this lose to the icache.
 MIN_LINEAR_OPS = 8
 
-#: Generated-source → compiled code object.  Keyed by the exact source,
-#: so identical programs (fresh CPUs over the same text, benchmark
-#: rounds) share one ``compile()`` cost process-wide.
-_CODE_MEMO: dict[str, object] = {}
+#: Recorded trace shape → (compiled code object, source length).  The
+#: key is everything the generated source depends on (head, steps, loop,
+#: retire total, whether instructions charge the clock), so identical
+#: programs (fresh CPUs over the same text, benchmark rounds, every
+#: ``CostModel``) share one ``_generate`` and ``compile()`` process-wide.
+_CODE_MEMO: dict[tuple, tuple[object, int]] = {}
 
 
 @dataclass
@@ -265,24 +271,31 @@ class TraceCache:
 
     # -- recording -----------------------------------------------------
     def _compile(self, head: int) -> None:
-        from repro.arch.cpu import Trap  # local: avoid import cycle
+        # local: avoid import cycle
+        from repro.arch.cpu import Trap, deliver_syscall
 
+        instruction_ns = self.cpu.instruction_ns
+        charge = bool(instruction_ns)
         try:
             steps, loop, retire_total, page_indexes = self._record(head, Trap)
-            source = _generate(self.cpu, head, steps, loop, retire_total)
+            key = (head, tuple(steps), loop, retire_total, charge)
+            memo = _CODE_MEMO.get(key)
+            if memo is None:
+                source = _generate(head, steps, loop, retire_total, charge)
+                memo = (compile(source, f"<trace {head:#x}>", "exec"), len(source))
+                _CODE_MEMO[key] = memo
         except _Abort:
             self.failed.add(head)
             self.stats.aborts += 1
             return
-        code = _CODE_MEMO.get(source)
-        if code is None:
-            code = compile(source, f"<trace {head:#x}>", "exec")
-            _CODE_MEMO[source] = code
+        code, code_size = memo
         live = [True]
         namespace = {
             "PageFault": PageFault,
             "M": MASK64,
             "S": SIGN64,
+            "NS": float(instruction_ns),
+            "SYSCALL": deliver_syscall,
             "_LIVE": live,
             "_STATS": self.stats,
         }
@@ -298,14 +311,14 @@ class TraceCache:
             live=live,
             ops=retire_total,
             blocks=len(page_indexes),
-            code_size=len(source),
+            code_size=code_size,
             loop=loop,
         )
         self.traces[head] = trace
         for index, _ in pages:
             self.page_traces.setdefault(index, set()).add(head)
         self.stats.compiles += 1
-        self.stats.code_bytes += len(source)
+        self.stats.code_bytes += code_size
         if self.tracer is not None:
             self.tracer.emit(
                 "trace_compile",
@@ -313,7 +326,7 @@ class TraceCache:
                 head=f"{head:#x}",
                 ops=retire_total,
                 loop=loop,
-                code_bytes=len(source),
+                code_bytes=code_size,
             )
 
     def _record(self, head: int, Trap) -> tuple[list, bool, int, set[int]]:
@@ -330,10 +343,12 @@ class TraceCache:
         * ``("stub_call", addr, slot, next_rip, target, resume)`` —
           ``call *slot`` whose target is a native stub, invoked inline
           (retires 2); ``resume`` folds in the LibOS dead-tail skip
+        * ``("syscall", addr, next_rip)`` — delivered inline (retires 1);
+          the trace goes on at ``next_rip``
         * ``("ret_guard", addr, expected)`` — return to a followed call
         * ``("ret_exit", addr)`` — dynamic return, ends the trace
-        * ``("exit", addr)`` — exit *before* ``addr`` (syscall/int3/hlt,
-          unmapped code, size cap); retires nothing
+        * ``("exit", addr)`` — exit *before* ``addr`` (int3/hlt, unmapped
+          code, size cap); retires nothing
         """
         cpu = self.cpu
         mem = cpu.mem
@@ -370,7 +385,13 @@ class TraceCache:
             ended = False
             for addr, _handler, instr, next_rip in block.ops:
                 mnemonic = instr.mnemonic
-                if mnemonic in ("syscall", "int3", "hlt"):
+                if mnemonic == "syscall":
+                    steps.append(("syscall", addr, next_rip))
+                    retired += 1
+                    cur = next_rip
+                    transferred = True
+                    break
+                if mnemonic in ("int3", "hlt"):
                     steps.append(("exit", addr))
                     ended = True
                     break
@@ -524,17 +545,29 @@ class _Emitter:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.pending = 0  # instructions retired since the last `n +=`
+        #: True once a stub or ``syscall`` synced count and clock; with
+        #: ``pending == 0`` it means ``n == _sy`` here, nothing to flush.
+        self.synced = False
 
     def emit(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
 
-def _generate(cpu, head, steps, loop, retire_total) -> str:
-    """Generate the trace function source for ``steps``."""
+def _generate(head, steps, loop, retire_total, charge) -> str:
+    """Generate the trace function source for ``steps``.
+
+    ``charge`` says whether retired instructions advance the clock; the
+    per-instruction cost itself is the namespace's ``NS``, so one source
+    serves every ``CostModel``.
+    """
     tracked: set[int] = set()
     flags: set[str] = set()
     has_mem = False
     has_stub = any(s[0] == "stub_call" for s in steps)
+    has_syscall = any(s[0] == "syscall" for s in steps)
+    # Stubs and syscalls run foreign Python mid-trace: count and clock
+    # are synced up to them (``_sy`` marks how far).
+    has_sync = has_stub or has_syscall
     has_store = any(
         s[0] == "op" and s[2] in ("mov_rsp_disp8_r32", "mov_rsp_disp8_r64", "push_r64")
         for s in steps
@@ -550,13 +583,11 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
             flags.update(_JCC_USES[step[2]])
         if kind in ("call", "call_ind", "stub_call", "ret_guard", "ret_exit"):
             has_mem = True
-    charge = bool(cpu.instruction_ns)
-    ns = repr(float(cpu.instruction_ns))
     regs = sorted(tracked)
     flag_list = [f for f in ("zf", "sf", "cf") if f in flags]
     # Mid-trace invalidation is only possible when the trace itself can
-    # trigger a write or run foreign Python (a stub).
-    live_check = has_store or has_stub
+    # trigger a write or run foreign Python (a stub or a trap handler).
+    live_check = has_store or has_sync
 
     def spill_lines() -> list[str]:
         out = [f"R[{r}] = r{r}" for r in regs]
@@ -568,23 +599,25 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
         out += [f"{f} = regs.{f}" for f in flag_list]
         return out
 
-    def flush_lines(delta_expr: str = "n - _sy") -> list[str]:
+    def flush_lines(pending) -> list[str]:
         """Sync retired count + clock with the interpreter's view."""
-        if has_stub:
-            out = [f"cpu.instructions_retired += {delta_expr}"]
+        if not has_sync:
+            out = ["cpu.instructions_retired += n"]
             if charge:
-                out.append(f"_adv(({delta_expr}) * {ns})")
+                out.append("_adv(n * _ns)")
             return out
-        out = ["cpu.instructions_retired += n"]
+        if not pending and em.synced:
+            return []
+        out = ["cpu.instructions_retired += n - _sy"]
         if charge:
-            out.append(f"_adv(n * {ns})")
+            out.append("_adv((n - _sy) * _ns)")
         return out
 
     def exit_lines(pending, rip_expr, guard) -> list[str]:
         out = []
         if pending:
             out.append(f"n += {pending}")
-        out += flush_lines()
+        out += flush_lines(pending)
         out += spill_lines()
         out.append(f"regs.rip = {rip_expr}")
         if guard:
@@ -596,7 +629,7 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
         out = []
         if pending:
             out.append(f"n += {pending}")
-        out += flush_lines()
+        out += flush_lines(pending)
         out += spill_lines()
         out.append(f"regs.rip = {addr:#x}")
         out.append("raise")
@@ -607,7 +640,7 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
     em.emit(1, "regs = cpu.regs")
     em.emit(1, "R = regs._regs")
     em.emit(1, "n = 0")
-    if has_stub:
+    if has_sync:
         em.emit(1, "_sy = 0")
     em.emit(1, "_M = M")
     if any(s[0] == "op" and s[2] in _FLAG_DEFS for s in steps):
@@ -616,7 +649,6 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
         em.emit(1, "_mem = cpu.mem")
         em.emit(1, "_pget = _mem._pages.get")
         em.emit(1, "_obs = _mem._write_observers")
-        em.emit(1, "_notify = _mem._notify")
         em.emit(1, "_r64 = _mem.read_u64")
         em.emit(1, "_w64 = _mem.write_u64")
         em.emit(1, "_r32 = _mem.read_u32")
@@ -624,10 +656,13 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
         em.emit(1, "_ifb = int.from_bytes")
     if has_stub:
         em.emit(1, "_stubs_get = cpu.native_stubs.get")
+    if has_syscall:
+        em.emit(1, "_sys = SYSCALL")
     if live_check:
         em.emit(1, "_L = _LIVE")
     if charge:
         em.emit(1, "_adv = cpu.clock.advance")
+        em.emit(1, "_ns = NS")
     for r in regs:
         em.emit(1, f"r{r} = R[{r}]")
     for f in flag_list:
@@ -668,8 +703,8 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
             f"_pg.data[_o:_o + {width}] = ({val_expr}).to_bytes({width}, 'little')",
         )
         em.emit(ind + 1, "_pg.generation += 1")
-        em.emit(ind + 1, "if _obs:")
-        em.emit(ind + 2, f"_notify({addr_var}, {width})")
+        em.emit(ind + 1, "for _ob in _obs:")
+        em.emit(ind + 2, f"_ob({addr_var}, {width})")
         em.emit(ind, "else:")
         em.emit(ind + 1, f"_w{width * 8}({addr_var}, {val_expr})")
 
@@ -685,6 +720,30 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
         em.emit(ind, "if not _L[0]:")
         for line in exit_lines(pending_after, f"{next_addr:#x}", guard=True):
             em.emit(ind + 1, line)
+
+    def emit_sync(ind):
+        """Bring the retired count and the clock up to ``n``."""
+        em.emit(ind, "cpu.instructions_retired += n - _sy")
+        if charge:
+            em.emit(ind, "_adv((n - _sy) * _ns)")
+        em.emit(ind, "_sy = n")
+
+    def emit_retire(resume):
+        """After foreign Python ran for an instruction: retire it, as
+        ``CPU._charge`` would, and go on only if the handler resumed at
+        ``resume`` with the CPU running and this trace still live."""
+        em.emit(base, "n += 1")
+        em.emit(base, "cpu.instructions_retired += 1")
+        if charge:
+            em.emit(base, "_adv(_ns)")
+        em.emit(base, "_sy = n")
+        em.emit(base, f"if cpu.halted or regs.rip != {resume:#x} or not _L[0]:")
+        em.emit(base + 1, "_STATS.guard_exits += 1")
+        em.emit(base + 1, "return n")
+        for line in reload_lines():
+            em.emit(base, line)
+        em.pending = 0
+        em.synced = True
 
     for index, step in enumerate(steps):
         kind = step[0]
@@ -909,10 +968,7 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
             # RIP) before handing control to foreign Python: the stub must
             # observe exactly what it would mid-interpretation.
             em.emit(base, f"n += {em.pending + 1}")
-            em.emit(base, "cpu.instructions_retired += n - _sy")
-            if charge:
-                em.emit(base, f"_adv((n - _sy) * {ns})")
-            em.emit(base, "_sy = n")
+            emit_sync(base)
             for line in spill_lines():
                 em.emit(base, line)
             em.emit(base, f"regs.rip = {target:#x}")
@@ -921,20 +977,24 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
             em.emit(base + 1, "_STATS.guard_exits += 1")
             em.emit(base + 1, "return n")
             em.emit(base, "_fn(cpu)")
-            em.emit(base, "n += 1")
-            em.emit(base, "cpu.instructions_retired += 1")
-            if charge:
-                em.emit(base, f"_adv({ns})")
-            em.emit(base, "_sy = n")
-            em.emit(
-                base,
-                f"if cpu.halted or regs.rip != {resume:#x} or not _L[0]:",
-            )
-            em.emit(base + 1, "_STATS.guard_exits += 1")
-            em.emit(base + 1, "return n")
-            for line in reload_lines():
+            emit_retire(resume)
+        elif kind == "syscall":
+            _, addr, resume = step
+            # The same hand-off as a stub: the trap handler sees the
+            # state the interpreter would show it at this ``syscall``.
+            if em.pending:
+                em.emit(base, f"n += {em.pending}")
+                emit_sync(base)
+            elif loop and not em.synced:
+                # Top of the loop body: the previous iteration's tail is
+                # unsynced, the first iteration has nothing to sync.
+                em.emit(base, "if n != _sy:")
+                emit_sync(base + 1)
+            for line in spill_lines():
                 em.emit(base, line)
-            em.pending = 0
+            em.emit(base, f"regs.rip = {addr:#x}")
+            em.emit(base, f"_sys(cpu, {addr:#x})")
+            emit_retire(resume)
         elif kind == "exit":
             _, addr = step
             for line in exit_lines(em.pending, f"{addr:#x}", guard=False):

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.arch.cpu import CPU
-from repro.arch.memory import PagedMemory
+from repro.arch.memory import PAGE_SHIFT, PAGE_SIZE, PagedMemory
+from repro.arch.registers import MASK64
 from repro.core.vsyscall import VsyscallPage
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
@@ -102,17 +103,27 @@ class XLibOS:
         """Handle a function-call syscall arriving via the entry table.
 
         On entry the return address pushed by the patched ``call`` is on
-        top of the stack.
+        top of the stack.  Every converted syscall runs this, so it works
+        on the register list and finds the dead tail with one page lookup
+        (a tail that spans a page boundary takes the general check).
         """
         self.clock.advance(self.costs.xc_func_call_syscall_ns)
         if self.tracer is not None:
             self.tracer.emit("syscall", "lightweight", nr=nr)
-        ret_addr = cpu.mem.read_u64(cpu.regs.rsp)
-        result = self.services.invoke(nr, cpu)
-        cpu.regs.rax = result
-        ret_addr = self._maybe_skip_dead_instruction(ret_addr)
-        cpu.regs.rsp += 8
-        cpu.regs.rip = ret_addr
+        regs = cpu.regs
+        R = regs._regs
+        ret_addr = cpu.mem.read_u64(R[4])
+        R[0] = self.services.invoke(nr, cpu) & MASK64
+        page = self.memory._pages.get(ret_addr >> PAGE_SHIFT)
+        offset = ret_addr & (PAGE_SIZE - 1)
+        if page is not None and offset < PAGE_SIZE - 1:
+            if page.data[offset : offset + 2] in (_SYSCALL, _JMP_BACK):
+                self.stats.return_address_skips += 1
+                ret_addr += 2
+        elif page is not None:
+            ret_addr = self._maybe_skip_dead_instruction(ret_addr)
+        R[4] = (R[4] + 8) & MASK64
+        regs.rip = ret_addr
         self.stats.lightweight_syscalls += 1
 
     def forwarded_entry(self, cpu: CPU, syscall_addr: int) -> None:

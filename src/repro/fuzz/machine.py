@@ -19,7 +19,6 @@ reproducible find.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
 
 from hypothesis import HealthCheck, Verbosity
 from hypothesis import seed as hypothesis_seed

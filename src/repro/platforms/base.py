@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.arch.binary import Binary
 from repro.arch.cpu import CPU, Trap, TrapKind
 from repro.arch.memory import PagedMemory, PageFlags
+from repro.arch.registers import MASK64
 from repro.guest.kernel import GuestKernel
 from repro.guest.netstack import NetDevice, NetStack
 from repro.perf.clock import SimClock
@@ -123,6 +124,8 @@ class Platform(abc.ABC):
         cpu.regs.rsp = 0x7FF000 + 0x10000 - 256
         syscalls = 0
         per_syscall = self.syscall_cost_ns()
+        regs = cpu.regs
+        R = regs._regs
 
         def handler(cpu: CPU, trap: Trap) -> None:
             nonlocal syscalls
@@ -130,9 +133,8 @@ class Platform(abc.ABC):
                 raise trap
             syscalls += 1
             clock.advance(per_syscall)
-            result = kernel.invoke(cpu.regs.rax & 0xFFFFFFFF, cpu)
-            cpu.regs.rax = result
-            cpu.regs.rip = trap.rip + 2
+            R[0] = kernel.invoke(R[0] & 0xFFFFFFFF, cpu) & MASK64
+            regs.rip = trap.rip + 2
 
         cpu.trap_handler = handler
         start = clock.now_ns

@@ -18,10 +18,10 @@ measured round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.assembler import Assembler
-from repro.arch.binary import Binary, SitePattern, SyscallSite
+from repro.arch.binary import Binary
 from repro.arch.registers import Reg
 from repro.core.offline import OfflinePatcher
 from repro.core.xcontainer import XContainer

@@ -158,10 +158,12 @@ class TestTraps:
 
         asm = Assembler()
         prog(asm)
-        cpu = make_cpu(asm.build())
+        binary = asm.build()
+        cpu = make_cpu(binary)
         with pytest.raises(Trap) as excinfo:
             cpu.run()
         assert excinfo.value.kind is TrapKind.SYSCALL
+        assert str(excinfo.value) == f"syscall at {binary.sites[0].syscall_addr:#x}"
 
     def test_syscall_handler_sees_instruction_address(self):
         asm = Assembler()
@@ -185,6 +187,7 @@ class TestTraps:
         with pytest.raises(Trap) as excinfo:
             cpu.step()
         assert excinfo.value.kind is TrapKind.INVALID_OPCODE
+        assert str(excinfo.value) == "invalid_opcode at 0x400000 byte 0x60"
 
     def test_int3_traps(self):
         asm = Assembler()
@@ -200,6 +203,9 @@ class TestTraps:
         with pytest.raises(Trap) as excinfo:
             cpu.step()
         assert excinfo.value.kind is TrapKind.PAGE_FAULT
+        assert str(excinfo.value) == (
+            "page_fault at 0xdead000 instruction fetch from unmapped page"
+        )
 
 
 class TestExecutionControl:

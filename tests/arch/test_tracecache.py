@@ -160,6 +160,37 @@ class TestCompilation:
         assert len(m._CODE_MEMO) == memo_size
         assert second.trace_stats.compiles == 1
 
+    def test_one_generated_trace_serves_every_instruction_cost(
+        self, monkeypatch
+    ):
+        """The per-instruction cost is bound in the trace's namespace,
+        not written into its source: CPUs with different cost models
+        share one generated trace, and each charges its own cost."""
+        from repro.arch import tracecache as m
+
+        monkeypatch.setattr(m, "_CODE_MEMO", {})
+        generated = []
+        generate = m._generate
+
+        def counting(*args):
+            generated.append(args[0])
+            return generate(*args)
+
+        monkeypatch.setattr(m, "_generate", counting)
+        binary = counting_loop(300)
+        charged = []
+        for ns in (0.25, 0.5):
+            mem = PagedMemory()
+            binary.load(mem)
+            cpu = CPU(mem, instruction_ns=ns)
+            cpu.regs.rip = binary.entry
+            cpu.run()
+            assert cpu.trace_stats.compiles == 1
+            # Binary fractions: every summation order is exact.
+            charged.append(cpu.clock.now_ns / cpu.instructions_retired)
+        assert len(generated) == 1
+        assert charged == [0.25, 0.5]
+
 
 class TestGuardsAndFuel:
     def test_loop_exit_lands_on_exact_rip(self):
@@ -238,6 +269,181 @@ class TestGuardsAndFuel:
                 cpu.run()
             results.append(final_state(cpu))
         assert results[0] == results[1]
+
+
+class Boom(Exception):
+    """Raised by a trap handler mid-trace."""
+
+
+def syscall_loop(iterations):
+    """A hot loop with a raw ``syscall``; ``away`` is an alternative
+    resume point that rejoins the loop after the syscall."""
+    asm = Assembler(base=BASE)
+    asm.mov_imm32(Reg.RBX, iterations)
+    asm.xor(Reg.RCX, Reg.RCX)
+    asm.jmp("loop")
+    asm.label("away")
+    asm.inc(Reg.RDX)
+    asm.jmp("after")
+    asm.label("loop")
+    asm.mov_imm32(Reg.RAX, 39)
+    asm.raw_syscall()
+    asm.label("after")
+    asm.inc(Reg.RCX)
+    asm.dec(Reg.RBX)
+    asm.jne("loop")
+    asm.hlt()
+    return asm.build()
+
+
+class TestSyscallInTrace:
+    """A ``syscall`` compiles into the trace as a call to the trap
+    handler.  Whatever the handler does (resume after the syscall, halt,
+    move RIP, raise, write the trace's own text), the trace leaves the
+    state the interpreter leaves, and the handler sees the registers,
+    flags, RIP, retired count and clock the interpreter shows it."""
+
+    ITERATIONS = 120
+    #: The 60th syscall: the loop has been running in its trace.
+    LATE_CALL = 60
+
+    def run_both(self, make_handler, binary=None):
+        binary = binary or syscall_loop(self.ITERATIONS)
+        outcomes = []
+        for tracecache in (True, False):
+            mem = PagedMemory()
+            binary.load(mem, writable_text=True)
+            mem.map_region(STACK_BASE, 0x1000, PageFlags.USER | PageFlags.WRITABLE)
+            # 0.5 ns sums exactly in any order, so the clock compares
+            # exactly across the two modes.
+            cpu = CPU(mem, instruction_ns=0.5, tracecache=tracecache)
+            cpu.regs.rip = binary.entry
+            cpu.regs.rsp = STACK_BASE + 0x1000 - 256
+            seen = []
+            handle = make_handler(binary)
+
+            def handler(cpu, trap, handle=handle, seen=seen):
+                regs = cpu.regs
+                seen.append((
+                    trap.kind, trap.rip, regs.rip, regs.snapshot(),
+                    (regs.zf, regs.sf, regs.cf),
+                    cpu.instructions_retired, cpu.clock.now_ns,
+                ))
+                cpu.clock.advance(7.0)
+                regs.rax = len(seen)
+                regs.rip = trap.rip + 2
+                handle(cpu, len(seen))
+
+            cpu.trap_handler = handler
+            raised = None
+            try:
+                # A trace that loses the loop counter spins until this
+                # budget (about 8x the program) runs out.
+                cpu.run(max_instructions=5_000)
+            except Boom as exc:
+                raised = str(exc)
+            outcomes.append((
+                final_state(cpu), cpu.halted, cpu.clock.now_ns, seen, raised
+            ))
+            if tracecache:
+                traced = cpu
+        assert outcomes[0] == outcomes[1]
+        return traced, outcomes[0]
+
+    def test_resume_after_syscall_stays_in_trace(self):
+        cpu, (*_, seen, _) = self.run_both(lambda binary: lambda cpu, k: None)
+        assert len(seen) == self.ITERATIONS
+        assert cpu.regs.read64(Reg.RCX) == self.ITERATIONS
+        # Everything after warm-up ran in one trace, syscalls included
+        # (five instructions an iteration).
+        stats = cpu.trace_stats
+        assert stats.instructions >= (self.ITERATIONS - HOT_THRESHOLD - 1) * 5
+        assert stats.guard_exits <= 2
+
+    def test_syscall_at_the_loop_head(self):
+        """The loop body starts with the ``syscall``: each iteration
+        syncs the previous one's tail before the handler runs."""
+        asm = Assembler(base=BASE)
+        asm.mov_imm32(Reg.RBX, self.ITERATIONS)
+        # Enter the loop by a jump, so its head block is entered every
+        # iteration and turns hot first.
+        asm.jmp("loop")
+        asm.label("loop")
+        asm.raw_syscall()
+        asm.dec(Reg.RBX)
+        asm.jne("loop")
+        asm.hlt()
+        binary = asm.build()
+        cpu, (_, _, _, seen, _) = self.run_both(
+            lambda binary: lambda cpu, k: None, binary
+        )
+        assert len(seen) == self.ITERATIONS
+        assert binary.symbols["loop"] in cpu._tracecache.traces
+        assert cpu.trace_stats.instructions >= (self.ITERATIONS - HOT_THRESHOLD - 1) * 3
+
+    def test_handler_halts_cpu(self):
+        def make(binary):
+            def handle(cpu, k):
+                if k == self.LATE_CALL:
+                    cpu.halted = True
+
+            return handle
+
+        cpu, (_, halted, _, seen, _) = self.run_both(make)
+        assert halted
+        assert len(seen) == self.LATE_CALL
+        assert cpu.trace_stats.instructions > 0
+
+    def test_handler_moves_rip_elsewhere(self):
+        def make(binary):
+            away = binary.symbols["away"]
+
+            def handle(cpu, k):
+                if k % 7 == 0:
+                    cpu.regs.rip = away
+
+            return handle
+
+        cpu, (_, _, _, seen, _) = self.run_both(make)
+        assert len(seen) == self.ITERATIONS
+        assert cpu.regs.read64(Reg.RDX) == self.ITERATIONS // 7
+        assert cpu.trace_stats.guard_exits >= self.ITERATIONS // 7 - 10
+
+    def test_handler_raises(self):
+        def make(binary):
+            def handle(cpu, k):
+                if k == self.LATE_CALL:
+                    raise Boom(f"call {k}")
+
+            return handle
+
+        cpu, (_, _, _, seen, raised) = self.run_both(make)
+        assert raised == f"call {self.LATE_CALL}"
+        assert len(seen) == self.LATE_CALL
+        # The raise came out of a trace (which then counts no retired
+        # instructions), with the syscall unretired in both modes.
+        assert cpu.trace_stats.executions == 1
+        assert cpu.trace_stats.instructions == 0
+
+    def test_handler_writes_the_trace_text(self):
+        """The handler rewrites ``inc rcx`` into ``inc rdx`` in the
+        running trace's own page: the trace leaves through its liveness
+        guard and the interpreter runs the new bytes."""
+
+        def make(binary):
+            after = binary.symbols["after"]
+
+            def handle(cpu, k):
+                if k == self.LATE_CALL:
+                    cpu.mem.write(after, b"\x48\xff\xc2")
+
+            return handle
+
+        cpu, (_, _, _, seen, _) = self.run_both(make)
+        assert len(seen) == self.ITERATIONS
+        assert cpu.regs.read64(Reg.RCX) == self.LATE_CALL - 1
+        assert cpu.regs.read64(Reg.RDX) == self.ITERATIONS - self.LATE_CALL + 1
+        assert cpu.trace_stats.invalidations >= 1
 
 
 class TestInvalidation:

@@ -82,29 +82,78 @@ class TestPatchedSiteTraces:
         assert trace_stats(xc).compiles >= 1
 
     def test_rejected_chain_retried_after_patch(self):
-        """Pre-patch the chain ends in ``syscall`` (untraceable, goes on
-        the failed list); the patch write clears the blacklist so the
-        site retraces as a patched call."""
-        # ABOM off: the site stays an unpatched syscall for the whole
-        # first run, so every recording attempt aborts at the trap.
-        xc = XContainer(CountingServices(), abom_enabled=False)
-        binary, site = loop_program("mov_eax", 39, 60)
+        """A chain too short to trace (three instructions, then ``hlt``)
+        goes on the failed list; a ``cmpxchg`` patch of its text clears
+        the blacklist, and the rerun traces the patched, longer chain."""
+        asm = Assembler(base=BASE)
+        for _ in range(3):
+            asm.inc(Reg.RAX)
+        stop = asm.here
+        asm.hlt()
+        for _ in range(5):
+            asm.inc(Reg.RAX)
+        asm.hlt()
+        binary = asm.build()
+        xc = XContainer(CountingServices())
         xc.load(binary)
         tc = xc.cpu._tracecache
-        tc.hot_threshold = 10
-        xc.run_loaded(binary.entry)
-        assert trace_stats(xc).aborts >= 1
-        assert tc.failed
+        tc.hot_threshold = 2
+        for _ in range(3):
+            xc.run_loaded(binary.entry)
+        assert trace_stats(xc).aborts == 1
+        assert tc.failed == {binary.entry}
         assert trace_stats(xc).compiles == 0
-        # A foreign patcher converts the site: the text write clears the
-        # blacklist, and the rerun stitches through the patched call.
-        patcher = ABOM(xc.memory)
-        assert patcher.try_patch(site.syscall_addr)
+        # A foreign patcher turns the first ``hlt`` into a ``nop``, the
+        # way ABOM stores: the text write clears the blacklist.
+        xc.memory.wp_enabled = False
+        assert xc.memory.compare_exchange(stop, b"\xf4", b"\x90")
+        xc.memory.wp_enabled = True
         assert not tc.failed
-        xc.cpu.halted = False
-        xc.run_loaded(binary.entry)
-        assert trace_stats(xc).compiles >= 1
-        assert xc.libos.services.count(39) == 120
+        xc.cpu.regs.rax = 0
+        for _ in range(2):
+            xc.run_loaded(binary.entry)
+        assert trace_stats(xc).compiles == 1
+        assert trace_stats(xc).instructions == 9  # the second run, to the hlt
+        assert xc.cpu.regs.rax == 16
+
+    def test_abom_patch_of_the_running_trace(self):
+        """An unpatched site traces as a ``syscall`` step; when a late
+        trap from inside that trace makes ABOM patch the site, the
+        trace's own page changes under it, and it leaves through its
+        liveness guard with the interpreter's state."""
+        outcomes = []
+        for tracecache in (True, False):
+            xc = XContainer(CountingServices(), tracecache=tracecache)
+            abom = xc.xkernel.abom
+            abom.enabled = False
+            deliver = xc.cpu.trap_handler
+            in_trace = []
+
+            def handler(cpu, trap, xc=xc, abom=abom, deliver=deliver):
+                if xc.libos_stats.forwarded_syscalls == 59:
+                    abom.enabled = True
+                    tc = cpu._tracecache
+                    in_trace.append(tc is not None and bool(tc.traces))
+                deliver(cpu, trap)
+
+            xc.cpu.trap_handler = handler
+            binary, _ = loop_program("mov_eax", 39, 120)
+            result = xc.run(binary, max_instructions=5_000)
+            outcomes.append(
+                (
+                    xc.libos.services.calls,
+                    xc.libos_stats.lightweight_syscalls,
+                    xc.libos_stats.forwarded_syscalls,
+                    xc.cpu.regs.snapshot(),
+                    (xc.cpu.regs.zf, xc.cpu.regs.sf, xc.cpu.regs.cf),
+                    result.instructions,
+                )
+            )
+            if tracecache:
+                assert in_trace == [True]
+                assert trace_stats(xc).invalidations >= 1
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1:3] == (60, 60)
 
 
 class TestPatchEvictsInstalledTrace:

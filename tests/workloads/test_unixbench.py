@@ -1,5 +1,8 @@
 import pytest
 
+from repro.arch import CPU
+from repro.experiments import fig4_syscall
+from repro.guest.kernel import GuestKernel
 from repro.platforms import (
     DockerPlatform,
     XContainerPlatform,
@@ -8,6 +11,89 @@ from repro.platforms import (
 from repro.workloads import unixbench
 from repro.workloads.iperf import iperf_bench
 from repro.workloads.unixbench import build_syscall_bench
+
+
+#: What the System Call loop's five syscalls return, in loop order
+#: (dup, close, getpid, getuid, umask).  The loop never sets ``rdi``, so
+#: it runs ``close(0)`` and drops the fd ``dup(0)`` returned: from the
+#: second iteration on fd 0 is gone, and ``dup`` and ``close`` both fail
+#: with -EBADF (UnixBench's loop is ``close(dup(0))``).  ``umask(0)``
+#: returns 0o22 once, then 0.
+FIRST_ITERATION = [(32, 3), (3, 0), (39, 1), (102, 0), (95, 0o22)]
+LATER_ITERATIONS = [(32, -9), (3, -9), (39, 1), (102, 0), (95, 0)]
+#: Past ``HOT_THRESHOLD`` (50): the loop compiles into a trace.
+ITERATIONS = 60
+
+
+def _set_tracecache(patch, tracecache):
+    """Build every ``run_binary`` CPU with the trace cache on or off;
+    returns the list the CPUs are appended to."""
+    cpus = []
+
+    def make_cpu(*args, **kwargs):
+        kwargs["tracecache"] = tracecache
+        cpus.append(CPU(*args, **kwargs))
+        return cpus[-1]
+
+    patch.setattr("repro.platforms.base.CPU", make_cpu)
+    patch.setattr("repro.core.xcontainer.CPU", make_cpu)
+    return cpus
+
+
+def _syscall_loop(platform, tracecache, monkeypatch):
+    """Run the loop on ``platform`` with the trace cache on or off;
+    returns the run, each syscall's ``(nr, result)`` and the CPU."""
+    calls = []
+    invoke = GuestKernel.invoke
+
+    def recording(self, nr, cpu):
+        result = invoke(self, nr, cpu)
+        calls.append((nr, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GuestKernel, "invoke", recording)
+        cpus = _set_tracecache(patch, tracecache)
+        run = platform.run_binary(build_syscall_bench(ITERATIONS))
+    (cpu,) = cpus
+    return run, calls, cpu
+
+
+class TestSyscallLoopTraceNeutral:
+    """The Fig 4 loop gives the same results with its syscalls compiled
+    into a trace as interpreted one at a time."""
+
+    @pytest.mark.parametrize("platform", [DockerPlatform, XContainerPlatform])
+    def test_results_counts_and_time(self, monkeypatch, platform):
+        traced, traced_calls, traced_cpu = _syscall_loop(
+            platform(), True, monkeypatch
+        )
+        plain, plain_calls, plain_cpu = _syscall_loop(
+            platform(), False, monkeypatch
+        )
+        expected = FIRST_ITERATION + LATER_ITERATIONS * (ITERATIONS - 1)
+        assert traced_calls == plain_calls == expected
+        # mov ebx, then 12 per iteration (5 x mov + syscall, dec, jne),
+        # then hlt.
+        assert traced.instructions == plain.instructions == 12 * ITERATIONS + 2
+        assert traced.syscalls == plain.syscalls == 5 * ITERATIONS
+        assert traced_cpu.trace_stats.instructions > 0
+        assert plain_cpu._tracecache is None
+        # A trace charges n instructions as one ``n * instruction_ns``
+        # where the interpreter adds ``instruction_ns`` n times: each
+        # retired instruction may add at most one rounding error.
+        bound = traced.instructions * 2**-52 * plain.elapsed_ns
+        assert abs(traced.elapsed_ns - plain.elapsed_ns) <= bound
+
+    def test_fig4_cells(self, monkeypatch):
+        monkeypatch.setattr(fig4_syscall, "ITERATIONS", ITERATIONS)
+        tables = []
+        for tracecache in (True, False):
+            with monkeypatch.context() as patch:
+                cpus = _set_tracecache(patch, tracecache)
+                tables.append(fig4_syscall.run().format_table())
+            assert len(cpus) == 36
+        assert tables[0] == tables[1]
 
 
 class TestSyscallBench:
