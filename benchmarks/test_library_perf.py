@@ -53,13 +53,24 @@ def test_interpreter_instruction_rate(benchmark, record_rate):
         return cpu.instructions_retired
 
     retired = benchmark(run)
-    assert retired > 6000
-    record_rate(
-        benchmark,
-        retired,
-        icache=last["cpu"].icache_stats.as_dict(),
-        trace=last["cpu"].trace_stats.as_dict(),
+    icache = last["cpu"].icache_stats.as_dict()
+    trace = last["cpu"].trace_stats.as_dict()
+    # Exact: three block decodes, then one trace runs the loop from its
+    # 50th entry to the exit guard (5,847 of 6,002 instructions).
+    assert retired == 6002
+    assert (icache["hits"], icache["misses"], icache["invalidations"]) == (
+        152, 3, 0
     )
+    assert trace == {
+        "compiles": 1,
+        "aborts": 0,
+        "executions": 1,
+        "instructions": 5847,
+        "guard_exits": 1,
+        "invalidations": 0,
+        "code_bytes": 776,
+    }
+    record_rate(benchmark, retired, icache=icache, trace=trace)
 
 
 def test_interpreter_instruction_rate_notrace(benchmark, record_rate):
@@ -78,13 +89,13 @@ def test_interpreter_instruction_rate_notrace(benchmark, record_rate):
         return cpu.instructions_retired
 
     retired = benchmark(run)
-    assert retired > 6000
-    record_rate(
-        benchmark,
-        retired,
-        icache=last["cpu"].icache_stats.as_dict(),
-        trace=None,
+    icache = last["cpu"].icache_stats.as_dict()
+    # Exact: three block decodes, every other instruction an icache hit.
+    assert retired == 6002
+    assert (icache["hits"], icache["misses"], icache["invalidations"]) == (
+        5999, 3, 0
     )
+    record_rate(benchmark, retired, icache=icache, trace=None)
 
 
 def test_interpreter_instruction_rate_uncached(benchmark, record_rate):

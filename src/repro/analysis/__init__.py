@@ -39,7 +39,6 @@ from repro.analysis.report import AnalysisReport, analyze
 from repro.analysis.safety import Finding, Severity, verify_sites
 from repro.analysis.sites import (
     DiscoveredSite,
-    discover_binary_sites,
     discover_sites,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "recover_binary_cfg",
     "DiscoveredSite",
     "discover_sites",
-    "discover_binary_sites",
     "Finding",
     "Severity",
     "verify_sites",

@@ -20,11 +20,10 @@ Recovery runs in two passes:
 
 Indirect control flow in the modeled subset is benign by construction:
 ``callq *disp32`` names its slot address in the instruction (and in this
-platform always targets the vsyscall page, i.e. outside text), and
-``ret`` can only return to the instruction after some discovered call.
-Both are still surfaced via :attr:`CFG.external_targets` /
-:attr:`CFG.invalid_addrs` so the safety pass can refuse to certify what
-it cannot see.
+platform always targets the vsyscall page, i.e. outside text), and the
+subset has no ``ret``.  Slot addresses and undecodable bytes are still
+surfaced via :attr:`CFG.external_targets` / :attr:`CFG.invalid_addrs`
+so the safety pass can refuse to certify what it cannot see.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ from repro.arch.encoding import Instruction, InvalidOpcode, decode
 
 #: Mnemonics whose targets are direct (relative) and statically known.
 _DIRECT_JUMPS = frozenset({"jmp_rel8", "jmp_rel32"})
-_COND_BRANCHES = frozenset({"je_rel8", "jne_rel8", "jl_rel8", "jg_rel8"})
+_COND_BRANCHES = frozenset({"je_rel8", "jne_rel8"})
 #: Mnemonics that never fall through.
-_NO_FALLTHROUGH = frozenset({"jmp_rel8", "jmp_rel32", "ret", "hlt"})
+_NO_FALLTHROUGH = frozenset({"jmp_rel8", "jmp_rel32", "hlt"})
 
 
 class EdgeKind(enum.Enum):
@@ -51,7 +50,7 @@ class EdgeKind(enum.Enum):
     CALL = "call"
     #: Where a call resumes after the callee returns.
     CALL_RETURN = "call-return"
-    #: Resumption after a trapping instruction (syscall/int3).
+    #: Resumption after a trapping instruction (``syscall``).
     TRAP_RESUME = "trap-resume"
 
 
@@ -77,13 +76,6 @@ class BasicBlock:
         addr, instr = self.instructions[-1]
         return addr + instr.length
 
-    @property
-    def terminator(self) -> Instruction:
-        return self.instructions[-1][1]
-
-    def __contains__(self, addr: int) -> bool:
-        return self.start <= addr < self.end
-
 
 @dataclass
 class CFG:
@@ -104,20 +96,6 @@ class CFG:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def successors(self, block_start: int) -> list[Edge]:
-        block = self.blocks[block_start]
-        last_addr = block.instructions[-1][0]
-        return [e for e in self.edges if e.src == last_addr]
-
-    def predecessors(self, block_start: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == block_start]
-
-    def block_containing(self, addr: int) -> BasicBlock | None:
-        for block in self.blocks.values():
-            if addr in block:
-                return block
-        return None
-
     def landing_targets(self) -> set[int]:
         """Every in-text address control flow can *land* on non-sequentially.
 
@@ -206,10 +184,6 @@ def recover_cfg(
                 edges.append(Edge(addr, nxt, EdgeKind.FALLTHROUGH))
                 addr = nxt
                 continue
-            if name == "call_rel32":
-                transfer(addr, nxt + instr.operands[0], EdgeKind.CALL)
-                transfer(addr, nxt, EdgeKind.CALL_RETURN)
-                break
             if name == "call_abs_ind":
                 # The operand is the *slot* address the target is loaded
                 # from; on this platform that is the vsyscall page, i.e.
@@ -217,10 +191,10 @@ def recover_cfg(
                 transfer(addr, instr.operands[0], EdgeKind.CALL)
                 transfer(addr, nxt, EdgeKind.CALL_RETURN)
                 break
-            if name in ("syscall", "int3"):
+            if name == "syscall":
                 transfer(addr, nxt, EdgeKind.TRAP_RESUME)
                 break
-            if name in ("ret", "hlt"):
+            if name == "hlt":
                 break
             addr = nxt
 
@@ -251,8 +225,7 @@ def _build_blocks(cfg: CFG, leaders: set[int]) -> None:
         ends_block = (
             instr.mnemonic in _NO_FALLTHROUGH
             or instr.mnemonic in _COND_BRANCHES
-            or instr.mnemonic in ("call_rel32", "call_abs_ind")
-            or instr.mnemonic in ("syscall", "int3")
+            or instr.mnemonic in ("call_abs_ind", "syscall")
         )
         if ends_block:
             cfg.blocks[current.start] = current
@@ -260,10 +233,10 @@ def _build_blocks(cfg: CFG, leaders: set[int]) -> None:
     if current is not None:
         cfg.blocks[current.start] = current
     # A block split by a leader (not by a terminator) falls through into
-    # the next block; record that edge so successor queries see it.
+    # the next block; record that edge so the graph stays complete.
     terminators = (
         _NO_FALLTHROUGH | _COND_BRANCHES
-        | {"call_rel32", "call_abs_ind", "syscall", "int3"}
+        | {"call_abs_ind", "syscall"}
     )
     for block in cfg.blocks.values():
         last_addr, last = block.instructions[-1]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.sites import DiscoveredSite, discover_binary_sites
+from repro.analysis.sites import DiscoveredSite
 from repro.arch.binary import Binary
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
@@ -93,18 +93,16 @@ class DifferentialResult:
 
 def run_differential(
     binary: Binary,
-    sites: list[DiscoveredSite] | None = None,
+    sites: list[DiscoveredSite],
     max_instructions: int = 50_000_000,
 ) -> DifferentialResult:
     """Execute ``binary`` under online ABOM and diff against ``sites``.
 
-    ``sites`` defaults to a fresh static discovery.  The binary must run
-    to completion on :class:`CountingServices` (every example and test
-    program does; arbitrary programs need their own harness).
+    ``sites`` is the static discovery (:func:`repro.analysis.analyze`
+    computes it).  The binary must run to completion on
+    :class:`CountingServices` (every example and test program does;
+    arbitrary programs need their own harness).
     """
-    if sites is None:
-        sites = discover_binary_sites(binary)
-
     xc = XContainer(CountingServices())
     tracer = TraceRecorder(xc.clock, capacity=65536)
     xc.attach_tracer(tracer)

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.cfg import CFG, recover_binary_cfg
-from repro.arch.binary import Binary, SitePattern
+from repro.analysis.cfg import CFG
+from repro.arch.binary import SitePattern
 from repro.arch.encoding import Instruction, enc_call_abs_ind, enc_jmp_rel8
 from repro.arch.registers import Reg
 from repro.core import vsyscall
 
-#: How far back the cancellable-wrapper walk goes, in bytes.  Matches the
-#: offline patcher's trampoline search window.
+#: How far back the cancellable-wrapper walk goes, in bytes.
 CANCELLABLE_MAX_BACK = 64
 
 _JMP_BACK = enc_jmp_rel8(-9)
@@ -59,11 +58,6 @@ def discover_sites(cfg: CFG, code: bytes, base: int) -> list[DiscoveredSite]:
     return [
         _classify(cfg, code, base, addr) for addr in cfg.syscall_addrs()
     ]
-
-
-def discover_binary_sites(binary: Binary) -> list[DiscoveredSite]:
-    cfg = recover_binary_cfg(binary)
-    return discover_sites(cfg, binary.code, binary.base)
 
 
 # ----------------------------------------------------------------------
@@ -164,13 +158,13 @@ def _predict_9byte(nr: int) -> bytes:
 def _writes_rax(instr: Instruction) -> bool:
     """Conservatively: does this instruction clobber %rax?"""
     name = instr.mnemonic
-    if name in ("syscall", "call_rel32", "call_abs_ind"):
+    if name in ("syscall", "call_abs_ind"):
         return True  # return values / callee-clobbered
     if name in (
-        "mov_r32_imm32", "mov_r64_imm32", "mov_r64_r64", "mov_r32_r32",
-        "mov_r32_rsp_disp8", "mov_r64_rsp_disp8", "pop_r64",
+        "mov_r32_imm32", "mov_r64_imm32", "mov_r64_r64",
+        "mov_r64_rsp_disp8", "pop_r64",
         "add_r64_imm8", "sub_r64_imm8", "inc_r64", "dec_r64",
-        "xor_r32_r32", "xor_r64_r64",
+        "xor_r32_r32",
     ):
         return instr.operands[0] == Reg.RAX
     return False

@@ -79,32 +79,11 @@ class Assembler:
     def mov_imm64_low(self, reg: Reg, imm: int) -> None:
         self._emit(enc.enc_mov_r64_imm32(reg, imm))
 
-    def mov_reg(self, dst: Reg, src: Reg) -> None:
-        self._emit(enc.enc_mov_r64_r64(dst, src))
-
-    def load_rsp32(self, reg: Reg, disp: int) -> None:
-        self._emit(enc.enc_mov_r32_rsp_disp8(reg, disp))
-
-    def store_rsp32(self, disp: int, reg: Reg) -> None:
-        self._emit(enc.enc_mov_rsp_disp8_r32(disp, reg))
-
     def load_rsp64(self, reg: Reg, disp: int) -> None:
         self._emit(enc.enc_mov_r64_rsp_disp8(reg, disp))
 
     def store_rsp64(self, disp: int, reg: Reg) -> None:
         self._emit(enc.enc_mov_rsp_disp8_r64(disp, reg))
-
-    def push(self, reg: Reg) -> None:
-        self._emit(enc.enc_push_r64(reg))
-
-    def pop(self, reg: Reg) -> None:
-        self._emit(enc.enc_pop_r64(reg))
-
-    def add(self, reg: Reg, imm: int) -> None:
-        self._emit(enc.enc_add_r64_imm8(reg, imm))
-
-    def sub(self, reg: Reg, imm: int) -> None:
-        self._emit(enc.enc_sub_r64_imm8(reg, imm))
 
     def cmp(self, reg: Reg, imm: int) -> None:
         self._emit(enc.enc_cmp_r64_imm8(reg, imm))
@@ -121,9 +100,6 @@ class Assembler:
     def nop(self, count: int = 1) -> None:
         self._emit(enc.enc_nop() * count)
 
-    def ret(self) -> None:
-        self._emit(enc.enc_ret())
-
     def hlt(self) -> None:
         self._emit(enc.enc_hlt())
 
@@ -139,29 +115,15 @@ class Assembler:
         offset = self._emit(enc.enc_jmp_rel32(0))
         self._fixups.append(_Fixup(offset, 5, label, "rel32"))
 
-    def jmp8(self, label: str) -> None:
-        offset = self._emit(enc.enc_jmp_rel8(0))
-        self._fixups.append(_Fixup(offset, 2, label, "rel8"))
-
     def je(self, label: str) -> None:
         self._jcc("je", label)
 
     def jne(self, label: str) -> None:
         self._jcc("jne", label)
 
-    def jl(self, label: str) -> None:
-        self._jcc("jl", label)
-
-    def jg(self, label: str) -> None:
-        self._jcc("jg", label)
-
     def _jcc(self, cond: str, label: str) -> None:
         offset = self._emit(enc.enc_jcc_rel8(cond, 0))
         self._fixups.append(_Fixup(offset, 2, label, "rel8"))
-
-    def call(self, label: str) -> None:
-        offset = self._emit(enc.enc_call_rel32(0))
-        self._fixups.append(_Fixup(offset, 5, label, "rel32"))
 
     # ------------------------------------------------------------------
     # Syscall-site helpers (the Figure 2 shapes)

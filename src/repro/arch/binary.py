@@ -37,14 +37,6 @@ class SitePattern(enum.Enum):
     #: patchable, always forwarded.
     BARE = "bare"
 
-    @property
-    def online_patchable(self) -> bool:
-        return self in (
-            SitePattern.MOV_EAX_IMM,
-            SitePattern.MOV_RAX_IMM,
-            SitePattern.GO_STACK,
-        )
-
 
 @dataclass
 class SyscallSite:
@@ -121,7 +113,3 @@ class Binary:
             if site.symbol == symbol:
                 return site
         raise KeyError(f"no syscall site with symbol {symbol!r}")
-
-    @property
-    def end(self) -> int:
-        return self.base + len(self.code)

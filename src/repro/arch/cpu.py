@@ -1,7 +1,7 @@
 """CPU interpreter for the x86-64 subset.
 
 The interpreter executes real machine code from :class:`PagedMemory` and
-delivers traps (``syscall``, #UD, #BP, page faults) to a pluggable trap
+delivers traps (``syscall``, #UD, page faults) to a pluggable trap
 handler — in this reproduction the trap handler is the platform's kernel
 model (host Linux, stock Xen PV, the X-Kernel, the gVisor Sentry, ...).
 
@@ -57,7 +57,6 @@ MAX_BLOCK_INSTRS = 64
 class TrapKind(enum.Enum):
     SYSCALL = "syscall"
     INVALID_OPCODE = "invalid_opcode"
-    BREAKPOINT = "breakpoint"
     PAGE_FAULT = "page_fault"
 
 
@@ -122,10 +121,6 @@ def _h_syscall(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     deliver_syscall(cpu, cpu.regs.rip)
 
 
-def _h_int3(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    cpu._deliver(Trap(TrapKind.BREAKPOINT, cpu.regs.rip))
-
-
 def _h_mov_r32_imm32(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     reg, imm = instr.operands
     cpu.regs.write32(reg, imm)
@@ -144,27 +139,9 @@ def _h_mov_r64_r64(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     cpu.regs.rip = next_rip
 
 
-def _h_mov_r32_r32(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    dst, src = instr.operands
-    cpu.regs.write32(dst, cpu.regs.read32(src))
-    cpu.regs.rip = next_rip
-
-
-def _h_mov_r32_rsp_disp8(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    reg, disp = instr.operands
-    cpu.regs.write32(reg, cpu.mem.read_u32((cpu.regs.rsp + disp) & MASK64))
-    cpu.regs.rip = next_rip
-
-
 def _h_mov_r64_rsp_disp8(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     reg, disp = instr.operands
     cpu.regs.write64(reg, cpu.mem.read_u64((cpu.regs.rsp + disp) & MASK64))
-    cpu.regs.rip = next_rip
-
-
-def _h_mov_rsp_disp8_r32(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    disp, reg = instr.operands
-    cpu.mem.write_u32((cpu.regs.rsp + disp) & MASK64, cpu.regs.read32(reg))
     cpu.regs.rip = next_rip
 
 
@@ -182,18 +159,12 @@ def _h_push_r64(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
 
 def _h_pop_r64(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     (reg,) = instr.operands
-    cpu.regs.write64(reg, cpu.pop64())
-    cpu.regs.rip = next_rip
-
-
-def _h_ret(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    cpu.regs.rip = cpu.pop64()
-
-
-def _h_call_rel32(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    (rel,) = instr.operands
-    cpu.push64(next_rip)
-    cpu.regs.rip = (next_rip + rel) & MASK64
+    regs = cpu.regs
+    value = cpu.mem.read_u64(regs.rsp)
+    regs.rsp = (regs.rsp + 8) & MASK64
+    # pop %rsp: the popped value replaces the incremented pointer.
+    regs.write64(reg, value)
+    regs.rip = next_rip
 
 
 def _h_call_abs_ind(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
@@ -216,17 +187,6 @@ def _h_je_rel8(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
 def _h_jne_rel8(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     (rel,) = instr.operands
     cpu.regs.rip = next_rip if cpu.regs.zf else (next_rip + rel) & MASK64
-
-
-def _h_jl_rel8(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    (rel,) = instr.operands
-    cpu.regs.rip = (next_rip + rel) & MASK64 if cpu.regs.sf else next_rip
-
-
-def _h_jg_rel8(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    (rel,) = instr.operands
-    taken = not cpu.regs.sf and not cpu.regs.zf
-    cpu.regs.rip = (next_rip + rel) & MASK64 if taken else next_rip
 
 
 def _h_add_r64_imm8(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
@@ -278,47 +238,30 @@ def _h_xor_r32_r32(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
     cpu.regs.rip = next_rip
 
 
-def _h_xor_r64_r64(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
-    dst, src = instr.operands
-    result = cpu.regs.read64(dst) ^ cpu.regs.read64(src)
-    cpu.regs.write64(dst, result)
-    cpu._set_flags(result)
-    cpu.regs.rip = next_rip
-
-
 InstrHandler = Callable[["CPU", Instruction, int], None]
 
 HANDLERS: dict[str, InstrHandler] = {
     "nop": _h_nop,
     "hlt": _h_hlt,
     "syscall": _h_syscall,
-    "int3": _h_int3,
     "mov_r32_imm32": _h_mov_r32_imm32,
     "mov_r64_imm32": _h_mov_r64_imm32,
     "mov_r64_r64": _h_mov_r64_r64,
-    "mov_r32_r32": _h_mov_r32_r32,
-    "mov_r32_rsp_disp8": _h_mov_r32_rsp_disp8,
     "mov_r64_rsp_disp8": _h_mov_r64_rsp_disp8,
-    "mov_rsp_disp8_r32": _h_mov_rsp_disp8_r32,
     "mov_rsp_disp8_r64": _h_mov_rsp_disp8_r64,
     "push_r64": _h_push_r64,
     "pop_r64": _h_pop_r64,
-    "ret": _h_ret,
-    "call_rel32": _h_call_rel32,
     "call_abs_ind": _h_call_abs_ind,
     "jmp_rel8": _h_jmp_rel,
     "jmp_rel32": _h_jmp_rel,
     "je_rel8": _h_je_rel8,
     "jne_rel8": _h_jne_rel8,
-    "jl_rel8": _h_jl_rel8,
-    "jg_rel8": _h_jg_rel8,
     "add_r64_imm8": _h_add_r64_imm8,
     "sub_r64_imm8": _h_sub_r64_imm8,
     "cmp_r64_imm8": _h_cmp_r64_imm8,
     "inc_r64": _h_inc_r64,
     "dec_r64": _h_dec_r64,
     "xor_r32_r32": _h_xor_r32_r32,
-    "xor_r64_r64": _h_xor_r64_r64,
 }
 
 assert set(HANDLERS) == ALL_MNEMONICS, "decoder and executor out of sync"
@@ -341,17 +284,13 @@ class ICacheStats:
     misses: int = 0
     invalidations: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def as_dict(self) -> dict[str, float]:
+        total = self.hits + self.misses
         return {
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
+            "hit_rate": self.hits / total if total else 0.0,
         }
 
 
@@ -426,11 +365,6 @@ class CPU:
         self.regs.rsp = (self.regs.rsp - 8) & MASK64
         self.mem.write_u64(self.regs.rsp, value)
 
-    def pop64(self) -> int:
-        value = self.mem.read_u64(self.regs.rsp)
-        self.regs.rsp = (self.regs.rsp + 8) & MASK64
-        return value
-
     # ------------------------------------------------------------------
     # Fetch/decode
     # ------------------------------------------------------------------
@@ -441,10 +375,6 @@ class CPU:
         except PageFault as exc:
             raise Trap(TrapKind.PAGE_FAULT, addr, exc.reason) from None
         return window
-
-    def decode_at(self, addr: int) -> Instruction:
-        window = self._fetch_window(addr)
-        return decode(window, 0)
 
     # ------------------------------------------------------------------
     # Decode cache
@@ -567,16 +497,6 @@ class CPU:
                     self._evict(block)
                     self.icache_stats.invalidations += 1
 
-    def flush_icache(self) -> None:
-        """Drop every cached block and trace (counters are preserved)."""
-        for block in list(self._blocks.values()):
-            block.live = False
-        self._blocks.clear()
-        self._page_blocks.clear()
-        self._cursor = None
-        if self._tracecache is not None:
-            self._tracecache.flush()
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -609,15 +529,16 @@ class CPU:
             op[1](self, op[2], op[3])
             self._charge()
             return
+        # The uncached reference path: decode and dispatch every time.
         try:
-            instr = self.decode_at(rip)
+            instr = decode(self._fetch_window(rip), 0)
         except InvalidOpcode as exc:
             self._deliver(
                 Trap(TrapKind.INVALID_OPCODE, rip, f"byte {exc.byte:#04x}")
             )
             self._charge()
             return
-        self._execute(instr)
+        HANDLERS[instr.mnemonic](self, instr, rip + instr.length)
         self._charge()
 
     def run(self, max_instructions: int = 10_000_000) -> int:
@@ -657,12 +578,6 @@ class CPU:
     # ------------------------------------------------------------------
     # Semantics
     # ------------------------------------------------------------------
-    def _execute(self, instr: Instruction) -> None:
-        handler = HANDLERS.get(instr.mnemonic)
-        if handler is None:  # pragma: no cover - HANDLERS covers the decoder
-            raise NotImplementedError(f"no semantics for {instr.mnemonic}")
-        handler(self, instr, self.regs.rip + instr.length)
-
     def _set_flags(self, result: int) -> None:
         self.regs.zf = result == 0
         self.regs.sf = to_signed64(result) < 0

@@ -43,35 +43,23 @@ def _render(instr: Instruction, addr: int) -> str:
         return "syscall"
     if name == "call_abs_ind":
         return f"callq  *{ops[0]:#x}"
-    if name == "call_rel32":
-        return f"call   {addr + instr.length + ops[0]:#x}"
     if name in ("jmp_rel8", "jmp_rel32"):
         return f"jmp    {addr + instr.length + ops[0]:#x}"
-    if name in ("je_rel8", "jne_rel8", "jl_rel8", "jg_rel8"):
+    if name in ("je_rel8", "jne_rel8"):
         cond = name.split("_")[0]
         return f"{cond:6s} {addr + instr.length + ops[0]:#x}"
-    if name == "ret":
-        return "retq"
     if name == "nop":
         return "nop"
     if name == "hlt":
         return "hlt"
-    if name == "int3":
-        return "int3"
     if name == "push_r64":
         return f"push   {_REG64[ops[0]]}"
     if name == "pop_r64":
         return f"pop    {_REG64[ops[0]]}"
     if name == "mov_r64_r64":
         return f"mov    {_REG64[ops[1]]},{_REG64[ops[0]]}"
-    if name == "mov_r32_r32":
-        return f"mov    {_REG32.get(ops[1], '?')},{_REG32.get(ops[0], '?')}"
-    if name == "mov_r32_rsp_disp8":
-        return f"mov    {ops[1]:#x}(%rsp),{_REG32.get(ops[0], '?')}"
     if name == "mov_r64_rsp_disp8":
         return f"mov    {ops[1]:#x}(%rsp),{_REG64[ops[0]]}"
-    if name == "mov_rsp_disp8_r32":
-        return f"mov    {_REG32.get(ops[1], '?')},{ops[0]:#x}(%rsp)"
     if name == "mov_rsp_disp8_r64":
         return f"mov    {_REG64[ops[1]]},{ops[0]:#x}(%rsp)"
     if name == "add_r64_imm8":
@@ -84,9 +72,8 @@ def _render(instr: Instruction, addr: int) -> str:
         return f"inc    {_REG64[ops[0]]}"
     if name == "dec_r64":
         return f"dec    {_REG64[ops[0]]}"
-    if name in ("xor_r32_r32", "xor_r64_r64"):
-        table = _REG32 if name == "xor_r32_r32" else _REG64
-        return f"xor    {table.get(ops[1], '?')},{table.get(ops[0], '?')}"
+    if name == "xor_r32_r32":
+        return f"xor    {_REG32.get(ops[1], '?')},{_REG32.get(ops[0], '?')}"
     return str(instr)
 
 

@@ -12,24 +12,22 @@ Supported forms::
     48 c7 c0+r imm32        mov    $imm32, %r<reg>      (sign-extends)
     0f 05                   syscall
     ff 14 25 disp32         callq  *disp32              (absolute indirect)
-    e8 rel32                call   rel32
     eb rel8 / e9 rel32      jmp
-    74/75/7c/7f rel8        je/jne/jl/jg
-    c3                      ret
+    74/75 rel8              je/jne
     50+r / 58+r             push/pop %r<reg>
     48 89 c0|11..           mov    %r, %r   (mod=11)
-    8b 44 24 disp8          mov    disp8(%rsp), %eax    (Go pattern, Fig 2)
-    48 8b 44 24 disp8       mov    disp8(%rsp), %rax
-    89 44 24 disp8          mov    %eax, disp8(%rsp)
+    48 8b 44 24 disp8       mov    disp8(%rsp), %rax    (Go pattern, Fig 2)
     48 89 44 24 disp8       mov    %rax, disp8(%rsp)
     48 83 /0|/5|/7 ib       add/sub/cmp $imm8, %r<reg>
     48 ff c0+r / c8+r       inc/dec %r<reg>
     31 /r (mod=11)          xor %e<reg>, %e<reg>
     90                      nop
-    cc                      int3
     f4                      hlt
     60                      (invalid in 64-bit mode -> #UD; the tail byte of
                              a patched call, §4.4)
+
+Every other byte sequence, ``ret`` and ``int3`` included, decodes to
+:class:`InvalidOpcode` (#UD).
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ MASK64 = (1 << 64) - 1
 ALL_MNEMONICS = frozenset(
     {
         "nop",
-        "ret",
-        "int3",
         "hlt",
         "syscall",
         "push_r64",
@@ -54,47 +50,35 @@ ALL_MNEMONICS = frozenset(
         "mov_r32_imm32",
         "mov_r64_imm32",
         "mov_r64_r64",
-        "mov_r32_r32",
-        "mov_r32_rsp_disp8",
         "mov_r64_rsp_disp8",
-        "mov_rsp_disp8_r32",
         "mov_rsp_disp8_r64",
-        "call_rel32",
         "call_abs_ind",
         "jmp_rel8",
         "jmp_rel32",
         "je_rel8",
         "jne_rel8",
-        "jl_rel8",
-        "jg_rel8",
         "add_r64_imm8",
         "sub_r64_imm8",
         "cmp_r64_imm8",
         "inc_r64",
         "dec_r64",
         "xor_r32_r32",
-        "xor_r64_r64",
     }
 )
 
 #: Mnemonics that end a basic block for the decode cache: anything that
-#: transfers control, traps, or halts.  ``syscall``/``int3`` end blocks
-#: because their trap handlers may move RIP arbitrarily — and, in ABOM's
-#: case, rewrite the very bytes the block was decoded from.
+#: transfers control, traps, or halts.  ``syscall`` ends blocks because
+#: its trap handler may move RIP arbitrarily — and, in ABOM's case,
+#: rewrite the very bytes the block was decoded from.
 BLOCK_TERMINATORS = frozenset(
     {
-        "ret",
         "hlt",
         "syscall",
-        "int3",
-        "call_rel32",
         "call_abs_ind",
         "jmp_rel8",
         "jmp_rel32",
         "je_rel8",
         "jne_rel8",
-        "jl_rel8",
-        "jg_rel8",
     }
 )
 
@@ -146,10 +130,6 @@ def decode(data: bytes, offset: int = 0) -> Instruction:
 
     if b0 == 0x90:
         return Instruction("nop", 1, bytes(data[offset : offset + 1]))
-    if b0 == 0xC3:
-        return Instruction("ret", 1, bytes(data[offset : offset + 1]))
-    if b0 == 0xCC:
-        return Instruction("int3", 1, bytes(data[offset : offset + 1]))
     if b0 == 0xF4:
         return Instruction("hlt", 1, bytes(data[offset : offset + 1]))
     if 0x50 <= b0 <= 0x57:
@@ -186,17 +166,10 @@ def decode(data: bytes, offset: int = 0) -> Instruction:
         return Instruction(
             "jmp_rel32", 5, bytes(data[offset : offset + 5]), (rel,)
         )
-    if b0 == 0xE8:
-        _need(data, offset, 5)
-        rel = sign_extend(_u32(data, offset + 1), 32)
-        return Instruction(
-            "call_rel32", 5, bytes(data[offset : offset + 5]), (rel,)
-        )
-    if b0 in (0x74, 0x75, 0x7C, 0x7F):
+    if b0 in (0x74, 0x75):
         _need(data, offset, 2)
         rel = sign_extend(data[offset + 1], 8)
-        name = {0x74: "je_rel8", 0x75: "jne_rel8", 0x7C: "jl_rel8",
-                0x7F: "jg_rel8"}[b0]
+        name = "je_rel8" if b0 == 0x74 else "jne_rel8"
         return Instruction(name, 2, bytes(data[offset : offset + 2]), (rel,))
     if b0 == 0xFF:
         _need(data, offset, 2)
@@ -211,44 +184,6 @@ def decode(data: bytes, offset: int = 0) -> Instruction:
                     7,
                     bytes(data[offset : offset + 7]),
                     (addr,),
-                )
-        raise InvalidOpcode(offset, modrm)
-    if b0 == 0x8B:
-        # mov r32, [rsp+disp8]  (Fig 2 "Case 2", the Go runtime pattern)
-        _need(data, offset, 2)
-        modrm = data[offset + 1]
-        if (modrm & 0xC7) == 0x44:  # mod=01 rm=100 -> SIB+disp8
-            _need(data, offset, 4)
-            if data[offset + 2] == 0x24:  # SIB: base=rsp
-                disp = sign_extend(data[offset + 3], 8)
-                reg = Reg((modrm >> 3) & 0x7)
-                return Instruction(
-                    "mov_r32_rsp_disp8",
-                    4,
-                    bytes(data[offset : offset + 4]),
-                    (reg, disp),
-                )
-        raise InvalidOpcode(offset, modrm)
-    if b0 == 0x89:
-        _need(data, offset, 2)
-        modrm = data[offset + 1]
-        if (modrm & 0xC0) == 0xC0:  # mov r32 -> r32
-            return Instruction(
-                "mov_r32_r32",
-                2,
-                bytes(data[offset : offset + 2]),
-                (Reg(modrm & 0x7), Reg((modrm >> 3) & 0x7)),
-            )
-        if (modrm & 0xC7) == 0x44:
-            _need(data, offset, 4)
-            if data[offset + 2] == 0x24:
-                disp = sign_extend(data[offset + 3], 8)
-                reg = Reg((modrm >> 3) & 0x7)
-                return Instruction(
-                    "mov_rsp_disp8_r32",
-                    4,
-                    bytes(data[offset : offset + 4]),
-                    (disp, reg),
                 )
         raise InvalidOpcode(offset, modrm)
     if b0 == 0x31:
@@ -345,17 +280,6 @@ def _decode_rexw(data: bytes, offset: int) -> Instruction:
         if (modrm & 0xF8) == 0xC8:
             return Instruction("dec_r64", 3, raw, (reg,))
         raise InvalidOpcode(offset, modrm)
-    if b1 == 0x31:
-        _need(data, offset, 3)
-        modrm = data[offset + 2]
-        if (modrm & 0xC0) == 0xC0:
-            return Instruction(
-                "xor_r64_r64",
-                3,
-                bytes(data[offset : offset + 3]),
-                (Reg(modrm & 0x7), Reg((modrm >> 3) & 0x7)),
-            )
-        raise InvalidOpcode(offset, modrm)
     raise InvalidOpcode(offset, b1)
 
 
@@ -399,19 +323,11 @@ def enc_jmp_rel32(rel: int) -> bytes:
     return b"\xe9" + (rel & 0xFFFFFFFF).to_bytes(4, "little")
 
 
-def enc_call_rel32(rel: int) -> bytes:
-    return b"\xe8" + (rel & 0xFFFFFFFF).to_bytes(4, "little")
-
-
 def enc_jcc_rel8(cond: str, rel: int) -> bytes:
-    opcode = {"je": 0x74, "jne": 0x75, "jl": 0x7C, "jg": 0x7F}[cond]
+    opcode = {"je": 0x74, "jne": 0x75}[cond]
     if not -128 <= rel <= 127:
         raise ValueError(f"rel8 out of range: {rel}")
     return bytes([opcode, rel & 0xFF])
-
-
-def enc_ret() -> bytes:
-    return b"\xc3"
 
 
 def enc_push_r64(reg: Reg) -> bytes:
@@ -424,14 +340,6 @@ def enc_pop_r64(reg: Reg) -> bytes:
 
 def enc_mov_r64_r64(dst: Reg, src: Reg) -> bytes:
     return bytes([0x48, 0x89, 0xC0 | (int(src) << 3) | int(dst)])
-
-
-def enc_mov_r32_rsp_disp8(reg: Reg, disp: int) -> bytes:
-    return bytes([0x8B, 0x44 | (int(reg) << 3), 0x24, disp & 0xFF])
-
-
-def enc_mov_rsp_disp8_r32(disp: int, reg: Reg) -> bytes:
-    return bytes([0x89, 0x44 | (int(reg) << 3), 0x24, disp & 0xFF])
 
 
 def enc_mov_r64_rsp_disp8(reg: Reg, disp: int) -> bytes:

@@ -28,7 +28,6 @@ PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 _OFFSET_MASK = PAGE_SIZE - 1
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
 
 #: ``observer(addr, size)`` — called after bytes in ``[addr, addr+size)``
 #: change (one call per page chunk of a spanning write).
@@ -101,18 +100,12 @@ class PagedMemory:
         """
         self._write_observers.append(observer)
 
-    def remove_write_observer(self, observer: WriteObserver) -> None:
-        self._write_observers.remove(observer)
-
     def add_lock_observer(self, observer: WriteObserver) -> None:
         """Call ``observer(addr, size)`` after every *successful*
         ``LOCK``-prefixed store (:meth:`compare_exchange`).  While the
         locked store runs, :attr:`in_locked_op` is True so plain write
         observers can recognize it."""
         self._lock_observers.append(observer)
-
-    def remove_lock_observer(self, observer: WriteObserver) -> None:
-        self._lock_observers.remove(observer)
 
     def _notify(self, addr: int, size: int) -> None:
         for observer in self._write_observers:
@@ -153,13 +146,6 @@ class PagedMemory:
         page.flags = int(flags) | _PRESENT
         page.generation += 1
         self._notify(addr & ~_OFFSET_MASK, PAGE_SIZE)
-
-    def page_generation(self, addr: int) -> int:
-        """Generation counter of the page containing ``addr``."""
-        page = self._pages.get(addr >> PAGE_SHIFT)
-        if page is None:
-            raise PageFault(addr, "not mapped")
-        return page.generation
 
     def page_generation_index(self, index: int) -> int:
         """Generation of page ``index`` (-1 when unmapped) — cache hot path."""
@@ -271,24 +257,6 @@ class PagedMemory:
             self._write_single(addr, page, (value & _MASK64).to_bytes(8, "little"))
             return
         self.write(addr, (value & _MASK64).to_bytes(8, "little"))
-
-    def read_u32(self, addr: int) -> int:
-        page = self._pages.get(addr >> PAGE_SHIFT)
-        offset = addr & _OFFSET_MASK
-        if page is not None and offset <= PAGE_SIZE - 4:
-            return int.from_bytes(page.data[offset : offset + 4], "little")
-        return int.from_bytes(self.read(addr, 4), "little")
-
-    def write_u32(self, addr: int, value: int) -> None:
-        page = self._pages.get(addr >> PAGE_SHIFT)
-        if (
-            page is not None
-            and (addr & _OFFSET_MASK) <= PAGE_SIZE - 4
-            and (page.flags & _WRITABLE or not self.wp_enabled)
-        ):
-            self._write_single(addr, page, (value & _MASK32).to_bytes(4, "little"))
-            return
-        self.write(addr, (value & _MASK32).to_bytes(4, "little"))
 
     # ------------------------------------------------------------------
     # Atomic compare-exchange (the patcher's only write primitive)

@@ -96,9 +96,3 @@ class RegisterFile:
         state = {reg.name.lower(): self._regs[reg] for reg in Reg}
         state["rip"] = self.rip
         return state
-
-    def __repr__(self) -> str:
-        return (
-            f"RegisterFile(rip={self.rip:#x}, rax={self.rax:#x}, "
-            f"rsp={self.rsp:#x})"
-        )

@@ -12,7 +12,7 @@ is stitched into a **superblock** and compiled — with Python's own
   generated statements with its decoded operands folded in as literals;
 * the register file is lowered to locals (only registers the trace
   touches are loaded/spilled);
-* the single-page ``read/write_u32/u64`` fast paths are inlined;
+* the single-page ``read/write_u64`` fast paths are inlined;
 * chains that close back on their head become ``while True:`` loops, so
   a 2000-iteration guest loop is one host-level call.
 
@@ -21,8 +21,8 @@ Correctness is guard-based, exactly like a hardware trace cache:
 * **branch guards** — each conditional branch is compiled in its
   profiled direction; the other direction spills the locals and exits at
   the architecturally exact RIP;
-* **value guards** — indirect calls check the vsyscall slot still holds
-  the compile-time target; guarded returns check the popped address;
+* **value guards** — an indirect call into a native stub checks the
+  vsyscall slot still holds the compile-time target;
 * **page-generation guards** — every execution validates the generation
   stamps of all pages the trace was compiled from (the same counters the
   icache stamps blocks with), so NX flips and foreign writes are caught
@@ -38,7 +38,9 @@ A ``syscall`` compiles into a guarded call to
 :func:`repro.arch.cpu.deliver_syscall`, the function the interpreter's
 own ``syscall`` handler calls, so trap delivery keeps one owner; the
 trace resumes only if the handler left RIP at the next instruction, the
-CPU running and the trace live.  ``int3`` and ``hlt`` still end a trace.
+CPU running and the trace live.  A ``call *slot`` into a native stub is
+invoked inline the same way; one into guest code, and ``hlt``, end the
+trace.
 Instruction accounting and simulated-clock charging are synchronized
 before every native-stub call and ``syscall`` and at every exit, so
 counters and timestamps observable from Python (stubs, trap handlers)
@@ -86,8 +88,8 @@ class TraceStats:
     ``compiles`` counts installed traces, ``aborts`` chains rejected by
     the recorder, ``executions`` entries into compiled code,
     ``instructions`` instructions retired inside traces, ``guard_exits``
-    bail-outs through any guard (branch direction, slot/return value,
-    SMC liveness), and ``invalidations`` traces evicted by stores or
+    bail-outs through any guard (branch direction, slot value, SMC
+    liveness), and ``invalidations`` traces evicted by stores or
     page-generation mismatches.  ``code_bytes`` is a gauge: generated
     source bytes currently live.
     """
@@ -145,8 +147,6 @@ class _Abort(Exception):
 _JCC_USES = {
     "je_rel8": ("zf",),
     "jne_rel8": ("zf",),
-    "jl_rel8": ("sf",),
-    "jg_rel8": ("zf", "sf"),
 }
 _FLAG_DEFS = {
     "add_r64_imm8": ("zf", "sf"),
@@ -154,15 +154,12 @@ _FLAG_DEFS = {
     "inc_r64": ("zf", "sf"),
     "dec_r64": ("zf", "sf"),
     "xor_r32_r32": ("zf", "sf"),
-    "xor_r64_r64": ("zf", "sf"),
     "cmp_r64_imm8": ("zf", "sf", "cf"),
 }
 #: Steps whose generated code can spill on a fault or exit: any flag is
 #: observable there, so upstream definitions must not be eliminated.
 _MEM_OPS = {
-    "mov_r32_rsp_disp8",
     "mov_r64_rsp_disp8",
-    "mov_rsp_disp8_r32",
     "mov_rsp_disp8_r64",
     "push_r64",
     "pop_r64",
@@ -248,15 +245,6 @@ class TraceCache:
         if text_written and self.failed:
             self.failed.clear()
 
-    def flush(self) -> None:
-        """Drop every trace (counters and the hotness profile persist)."""
-        for trace in list(self.traces.values()):
-            trace.live[0] = False
-        self.traces.clear()
-        self.page_traces.clear()
-        self.failed.clear()
-        self.stats.code_bytes = 0
-
     def _evict(self, trace: CompiledTrace) -> None:
         trace.live[0] = False
         if self.traces.get(trace.head) is trace:
@@ -337,31 +325,26 @@ class TraceCache:
         * ``("op", addr, mnemonic, operands, next_rip)``
         * ``("cc", addr, mnemonic, taken_target, next_rip, predicted_taken)``
         * ``("jmp", addr, target)``
-        * ``("call", addr, next_rip, target)`` — ``call rel32``, followed
-        * ``("call_ind", addr, slot, next_rip, target)`` — followed with
-          a slot-value guard
         * ``("stub_call", addr, slot, next_rip, target, resume)`` —
           ``call *slot`` whose target is a native stub, invoked inline
           (retires 2); ``resume`` folds in the LibOS dead-tail skip
         * ``("syscall", addr, next_rip)`` — delivered inline (retires 1);
           the trace goes on at ``next_rip``
-        * ``("ret_guard", addr, expected)`` — return to a followed call
-        * ``("ret_exit", addr)`` — dynamic return, ends the trace
-        * ``("exit", addr)`` — exit *before* ``addr`` (int3/hlt, unmapped
-          code, size cap); retires nothing
+        * ``("exit", addr)`` — exit *before* ``addr`` (``hlt``, a
+          ``call *slot`` into guest code, unmapped code, size cap);
+          retires nothing
         """
         cpu = self.cpu
         mem = cpu.mem
         counts = self.counts
         steps: list[tuple] = []
-        call_stack: list[int] = []
         visited: set[int] = set()
         page_indexes: set[int] = set()
         retired = 0
         loop = False
         cur = head
         while True:
-            if steps and cur == head and not call_stack:
+            if steps and cur == head:
                 loop = True
                 break
             if (
@@ -391,61 +374,38 @@ class TraceCache:
                     cur = next_rip
                     transferred = True
                     break
-                if mnemonic in ("int3", "hlt"):
+                if mnemonic == "hlt":
                     steps.append(("exit", addr))
                     ended = True
-                    break
-                if mnemonic == "ret":
-                    retired += 1
-                    if call_stack:
-                        expected = call_stack.pop()
-                        steps.append(("ret_guard", addr, expected))
-                        cur = expected
-                        transferred = True
-                    else:
-                        steps.append(("ret_exit", addr))
-                        ended = True
-                    break
-                if mnemonic == "call_rel32":
-                    (rel,) = instr.operands
-                    target = (next_rip + rel) & MASK64
-                    call_stack.append(next_rip)
-                    steps.append(("call", addr, next_rip, target))
-                    retired += 1
-                    cur = target
-                    transferred = True
                     break
                 if mnemonic == "call_abs_ind":
                     (slot,) = instr.operands
                     try:
                         target = mem.read_u64(slot)
                     except PageFault:
+                        target = None
+                    if target not in cpu.native_stubs:
+                        # Guest code (or an unmapped slot): end here.
                         steps.append(("exit", addr))
                         ended = True
                         break
-                    if target in cpu.native_stubs:
-                        # The X-LibOS return-address protocol (§4.4) skips
-                        # a dead ``syscall``/``jmp -9`` tail at the return
-                        # address.  The skip is a pure function of those
-                        # two bytes, which our page stamps pin — so the
-                        # recorder can predict the resume point exactly.
-                        resume = next_rip
-                        try:
-                            tail = mem.read(next_rip, 2)
-                            if tail in (b"\x0f\x05", b"\xeb\xf7"):
-                                resume = next_rip + 2
-                        except PageFault:
-                            pass
-                        steps.append(
-                            ("stub_call", addr, slot, next_rip, target, resume)
-                        )
-                        retired += 2  # the call and the stub step
-                        cur = resume
-                    else:
-                        call_stack.append(next_rip)
-                        steps.append(("call_ind", addr, slot, next_rip, target))
-                        retired += 1
-                        cur = target
+                    # The X-LibOS return-address protocol (§4.4) skips a
+                    # dead ``syscall``/``jmp -9`` tail at the return
+                    # address.  The skip is a pure function of those two
+                    # bytes, which our page stamps pin — so the recorder
+                    # can predict the resume point exactly.
+                    resume = next_rip
+                    try:
+                        tail = mem.read(next_rip, 2)
+                        if tail in (b"\x0f\x05", b"\xeb\xf7"):
+                            resume = next_rip + 2
+                    except PageFault:
+                        pass
+                    steps.append(
+                        ("stub_call", addr, slot, next_rip, target, resume)
+                    )
+                    retired += 2  # the call and the stub step
+                    cur = resume
                     transferred = True
                     break
                 if mnemonic in ("jmp_rel8", "jmp_rel32"):
@@ -497,19 +457,14 @@ def _regs_of(step) -> tuple[int, ...]:
         mnemonic, operands = step[2], step[3]
         if mnemonic == "nop":
             return ()
-        if mnemonic in (
-            "mov_r32_rsp_disp8",
-            "mov_r64_rsp_disp8",
-        ):
+        if mnemonic in ("mov_r64_rsp_disp8", "push_r64", "pop_r64"):
             return (int(operands[0]), 4)
-        if mnemonic in ("mov_rsp_disp8_r32", "mov_rsp_disp8_r64"):
+        if mnemonic == "mov_rsp_disp8_r64":
             return (int(operands[1]), 4)
-        if mnemonic in ("push_r64", "pop_r64"):
-            return (int(operands[0]), 4)
-        if mnemonic in ("mov_r64_r64", "mov_r32_r32", "xor_r32_r32", "xor_r64_r64"):
+        if mnemonic in ("mov_r64_r64", "xor_r32_r32"):
             return (int(operands[0]), int(operands[1]))
         return (int(operands[0]),)
-    if kind in ("call", "call_ind", "stub_call", "ret_guard", "ret_exit"):
+    if kind == "stub_call":
         return (4,)
     return ()
 
@@ -537,7 +492,7 @@ def _flag_live_after(steps, index, flag, loop) -> bool:
             continue  # pure transition, no flag effects
         if kind == "cc":
             return True  # reads flags and/or spills on its guard exit
-        return True  # calls, rets, stubs, exits all spill
+        return True  # stubs, syscalls and exits all spill
     return True  # linear trace end spills
 
 
@@ -568,10 +523,9 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
     # Stubs and syscalls run foreign Python mid-trace: count and clock
     # are synced up to them (``_sy`` marks how far).
     has_sync = has_stub or has_syscall
-    has_store = any(
-        s[0] == "op" and s[2] in ("mov_rsp_disp8_r32", "mov_rsp_disp8_r64", "push_r64")
-        for s in steps
-    ) or any(s[0] in ("call", "call_ind", "stub_call") for s in steps)
+    has_store = has_stub or any(
+        s[0] == "op" and s[2] in ("mov_rsp_disp8_r64", "push_r64") for s in steps
+    )
     for step in steps:
         tracked.update(_regs_of(step))
         kind = step[0]
@@ -581,7 +535,7 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
                 has_mem = True
         elif kind == "cc":
             flags.update(_JCC_USES[step[2]])
-        if kind in ("call", "call_ind", "stub_call", "ret_guard", "ret_exit"):
+        elif kind == "stub_call":
             has_mem = True
     regs = sorted(tracked)
     flag_list = [f for f in ("zf", "sf", "cf") if f in flags]
@@ -651,8 +605,6 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
         em.emit(1, "_obs = _mem._write_observers")
         em.emit(1, "_r64 = _mem.read_u64")
         em.emit(1, "_w64 = _mem.write_u64")
-        em.emit(1, "_r32 = _mem.read_u32")
-        em.emit(1, "_w32 = _mem.write_u32")
         em.emit(1, "_ifb = int.from_bytes")
     if has_stub:
         em.emit(1, "_stubs_get = cpu.native_stubs.get")
@@ -681,32 +633,29 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
         em.emit(2, "return 0")
         base = 1
 
-    def emit_read(ind, dst, addr_var, width):
-        limit = 4096 - width
+    def emit_read(ind, dst, addr_var):
+        """A 64-bit load, inlined when it sits inside one page."""
         em.emit(ind, f"_pg = _pget({addr_var} >> 12)")
         em.emit(ind, f"_o = {addr_var} & 4095")
-        em.emit(ind, f"if _pg is not None and _o <= {limit}:")
-        em.emit(
-            ind + 1,
-            f"{dst} = _ifb(_pg.data[_o:_o + {width}], 'little')",
-        )
+        em.emit(ind, "if _pg is not None and _o <= 4088:")
+        em.emit(ind + 1, f"{dst} = _ifb(_pg.data[_o:_o + 8], 'little')")
         em.emit(ind, "else:")
-        em.emit(ind + 1, f"{dst} = _r{width * 8}({addr_var})")
+        em.emit(ind + 1, f"{dst} = _r64({addr_var})")
 
-    def emit_write(ind, addr_var, val_expr, width):
-        limit = 4096 - width
+    def emit_write(ind, addr_var, val_expr):
+        """A 64-bit store, inlined when it sits inside one writable page."""
         em.emit(ind, f"_pg = _pget({addr_var} >> 12)")
         em.emit(ind, f"_o = {addr_var} & 4095")
-        em.emit(ind, f"if _pg is not None and _o <= {limit} and _pg.flags & 2:")
+        em.emit(ind, "if _pg is not None and _o <= 4088 and _pg.flags & 2:")
         em.emit(
             ind + 1,
-            f"_pg.data[_o:_o + {width}] = ({val_expr}).to_bytes({width}, 'little')",
+            f"_pg.data[_o:_o + 8] = ({val_expr}).to_bytes(8, 'little')",
         )
         em.emit(ind + 1, "_pg.generation += 1")
         em.emit(ind + 1, "for _ob in _obs:")
-        em.emit(ind + 2, f"_ob({addr_var}, {width})")
+        em.emit(ind + 2, f"_ob({addr_var}, 8)")
         em.emit(ind, "else:")
-        em.emit(ind + 1, f"_w{width * 8}({addr_var}, {val_expr})")
+        em.emit(ind + 1, f"_w64({addr_var}, {val_expr})")
 
     def emit_fault_guarded(ind, body, pending, addr):
         em.emit(ind, "try:")
@@ -764,9 +713,6 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
             elif mnemonic == "mov_r64_r64":
                 dst, src = operands
                 em.emit(base, f"r{int(dst)} = r{int(src)}")
-            elif mnemonic == "mov_r32_r32":
-                dst, src = operands
-                em.emit(base, f"r{int(dst)} = r{int(src)} & 0xffffffff")
             elif mnemonic in ("add_r64_imm8", "sub_r64_imm8", "inc_r64", "dec_r64"):
                 reg = int(operands[0])
                 if mnemonic == "add_r64_imm8":
@@ -791,29 +737,21 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
                     em.emit(base, "sf = _t >= _S")
                 if emit_flags.get("cf"):
                     em.emit(base, f"cf = r{reg} < {imm & MASK64:#x}")
-            elif mnemonic in ("xor_r32_r32", "xor_r64_r64"):
+            elif mnemonic == "xor_r32_r32":
                 dst, src = int(operands[0]), int(operands[1])
                 if dst == src:
                     em.emit(base, f"r{dst} = 0")
                     if emit_flags.get("zf"):
                         em.emit(base, "zf = True")
-                    if emit_flags.get("sf"):
-                        em.emit(base, "sf = False")
-                elif mnemonic == "xor_r32_r32":
+                else:
                     em.emit(
                         base,
                         f"r{dst} = (r{dst} ^ r{src}) & 0xffffffff",
                     )
                     if emit_flags.get("zf"):
                         em.emit(base, f"zf = r{dst} == 0")
-                    if emit_flags.get("sf"):
-                        em.emit(base, "sf = False")
-                else:
-                    em.emit(base, f"r{dst} = r{dst} ^ r{src}")
-                    if emit_flags.get("zf"):
-                        em.emit(base, f"zf = r{dst} == 0")
-                    if emit_flags.get("sf"):
-                        em.emit(base, f"sf = r{dst} >= _S")
+                if emit_flags.get("sf"):
+                    em.emit(base, "sf = False")
             elif mnemonic == "push_r64":
                 reg = int(operands[0])
                 # push rsp stores the *pre-decrement* value.
@@ -824,7 +762,7 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
                 em.emit(base, "r4 = (r4 - 8) & _M")
                 emit_fault_guarded(
                     base,
-                    lambda ind, v=value: emit_write(ind, "r4", v, 8),
+                    lambda ind, v=value: emit_write(ind, "r4", v),
                     em.pending,
                     addr,
                 )
@@ -838,7 +776,7 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
                 dst = "_v" if reg == 4 else f"r{reg}"
                 emit_fault_guarded(
                     base,
-                    lambda ind, d=dst: emit_read(ind, d, "r4", 8),
+                    lambda ind, d=dst: emit_read(ind, d, "r4"),
                     em.pending,
                     addr,
                 )
@@ -846,24 +784,21 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
                     em.emit(base, "r4 = _v")
                 else:
                     em.emit(base, "r4 = (r4 + 8) & _M")
-            elif mnemonic in ("mov_r32_rsp_disp8", "mov_r64_rsp_disp8"):
+            elif mnemonic == "mov_r64_rsp_disp8":
                 reg, disp = int(operands[0]), operands[1]
-                width = 8 if mnemonic.endswith("r64_rsp_disp8") else 4
                 em.emit(base, f"_a = (r4 + {disp}) & _M")
                 emit_fault_guarded(
                     base,
-                    lambda ind, r=reg, w=width: emit_read(ind, f"r{r}", "_a", w),
+                    lambda ind, r=reg: emit_read(ind, f"r{r}", "_a"),
                     em.pending,
                     addr,
                 )
-            elif mnemonic in ("mov_rsp_disp8_r32", "mov_rsp_disp8_r64"):
+            elif mnemonic == "mov_rsp_disp8_r64":
                 disp, reg = operands[0], int(operands[1])
-                width = 8 if mnemonic.endswith("r64") else 4
-                val = f"r{reg}" if width == 8 else f"r{reg} & 0xffffffff"
                 em.emit(base, f"_a = (r4 + {disp}) & _M")
                 emit_fault_guarded(
                     base,
-                    lambda ind, v=val, w=width: emit_write(ind, "_a", v, w),
+                    lambda ind, r=reg: emit_write(ind, "_a", f"r{r}"),
                     em.pending,
                     addr,
                 )
@@ -877,8 +812,6 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
             conds = {
                 "je_rel8": ("zf", "not zf"),
                 "jne_rel8": ("not zf", "zf"),
-                "jl_rel8": ("sf", "not sf"),
-                "jg_rel8": ("not (sf or zf)", "sf or zf"),
             }
             branch_cond, inverse = conds[mnemonic]
             exit_cond = inverse if predicted else branch_cond
@@ -889,75 +822,18 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
             em.pending += 1
         elif kind == "jmp":
             em.pending += 1
-        elif kind == "call":
-            _, addr, next_rip, target = step
-            em.emit(base, "r4 = (r4 - 8) & _M")
-            emit_fault_guarded(
-                base,
-                lambda ind, v=next_rip: emit_write(ind, "r4", f"{v:#x}", 8),
-                em.pending,
-                addr,
-            )
-            if live_check:
-                emit_live_bail(base, target, em.pending + 1)
-            em.pending += 1
-        elif kind == "call_ind":
-            _, addr, slot, next_rip, target = step
-            emit_fault_guarded(
-                base,
-                lambda ind, s=slot: emit_read(ind, "_t", f"{s:#x}", 8),
-                em.pending,
-                addr,
-            )
-            em.emit(base, "r4 = (r4 - 8) & _M")
-            emit_fault_guarded(
-                base,
-                lambda ind, v=next_rip: emit_write(ind, "r4", f"{v:#x}", 8),
-                em.pending,
-                addr,
-            )
-            em.emit(base, f"if _t != {target:#x}:")
-            for line in exit_lines(em.pending + 1, "_t", guard=True):
-                em.emit(base + 1, line)
-            if live_check:
-                emit_live_bail(base, target, em.pending + 1)
-            em.pending += 1
-        elif kind == "ret_guard":
-            _, addr, expected = step
-            emit_fault_guarded(
-                base,
-                lambda ind: emit_read(ind, "_t", "r4", 8),
-                em.pending,
-                addr,
-            )
-            em.emit(base, "r4 = (r4 + 8) & _M")
-            em.emit(base, f"if _t != {expected:#x}:")
-            for line in exit_lines(em.pending + 1, "_t", guard=True):
-                em.emit(base + 1, line)
-            em.pending += 1
-        elif kind == "ret_exit":
-            _, addr = step
-            emit_fault_guarded(
-                base,
-                lambda ind: emit_read(ind, "_t", "r4", 8),
-                em.pending,
-                addr,
-            )
-            em.emit(base, "r4 = (r4 + 8) & _M")
-            for line in exit_lines(em.pending + 1, "_t", guard=False):
-                em.emit(base, line)
         elif kind == "stub_call":
             _, addr, slot, next_rip, target, resume = step
             emit_fault_guarded(
                 base,
-                lambda ind, s=slot: emit_read(ind, "_t", f"{s:#x}", 8),
+                lambda ind, s=slot: emit_read(ind, "_t", f"{s:#x}"),
                 em.pending,
                 addr,
             )
             em.emit(base, "r4 = (r4 - 8) & _M")
             emit_fault_guarded(
                 base,
-                lambda ind, v=next_rip: emit_write(ind, "r4", f"{v:#x}", 8),
+                lambda ind, v=next_rip: emit_write(ind, "r4", f"{v:#x}"),
                 em.pending,
                 addr,
             )

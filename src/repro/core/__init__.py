@@ -11,7 +11,7 @@
   syscalls without address-space isolation, host ABOM, and fix #UD traps
   from jumps into patched call tails (§4.2);
 * :mod:`repro.core.xlibos` — the X-LibOS: the guest Linux turned LibOS,
-  with lightweight syscall dispatch and user-mode iret/sysret (§4.2–4.4);
+  with lightweight syscall dispatch and the return-address skip (§4.2–4.4);
 * :mod:`repro.core.xcontainer` — the X-Container runtime object, with
   checkpoint/restore in the :mod:`repro.xen.migration` format;
 * :mod:`repro.core.docker_wrapper` — Docker-image bootstrap (§4.5);

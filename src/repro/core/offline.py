@@ -19,117 +19,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.binary import Binary, SitePattern, SyscallSite
-from repro.arch.encoding import (
-    decode,
-    enc_call_abs_ind,
-    enc_jmp_rel8,
-    enc_jmp_rel32,
-    enc_nop,
-)
-from repro.arch.memory import PagedMemory, PageFlags
+from repro.arch.encoding import decode, enc_call_abs_ind, enc_jmp_rel8
+from repro.arch.memory import PagedMemory
 from repro.core import vsyscall
-
-#: Where injected trampolines live (one page, mapped on first use).
-TRAMPOLINE_BASE = 0x00600000
-TRAMPOLINE_SIZE = 0x1000
 
 
 @dataclass
 class OfflinePatchReport:
     patched: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
-    trampolines: list[str] = field(default_factory=list)
 
 
 class OfflinePatcher:
-    """Rewrites syscall sites ABOM cannot recognize.
+    """Rewrites syscall sites ABOM cannot recognize, in place.
 
-    Two strategies, matching §4.4's description of the offline tool:
-
-    * **in-place** — when the instructions between the ``mov`` and the
-      ``syscall`` are dead weight for the LibOS case (the libpthread
-      cancellation check: cancellation state lives in the LibOS anyway),
-      the whole region is overwritten with a ``callq *slot`` plus a jump
-      over the leftovers;
-    * **trampoline** ("inject code into the binary and re-direct a bigger
-      chunk of code") — when the intervening instructions must still
-      execute, they are copied into an injected code page, followed by
-      the ``callq *slot`` and a jump back; the site's first 5 bytes
-      become a ``jmp`` to the trampoline.
+    The instructions between the ``mov`` and the ``syscall`` are dead
+    weight for the LibOS case (the libpthread cancellation check:
+    cancellation state lives in the LibOS anyway), so the whole region
+    is overwritten with a ``callq *slot`` plus a jump over the
+    leftovers.  §4.4's other strategy, injecting a trampoline for
+    intervening code that must still run, is not modelled: no Table 1
+    row needs it.
     """
 
     def __init__(self, memory: PagedMemory) -> None:
         self.memory = memory
-        self._trampoline_cursor = TRAMPOLINE_BASE
-        self._trampoline_mapped = False
 
     def patch_sites(
-        self,
-        binary: Binary,
-        sites: list[SyscallSite],
-        preserve_intervening: bool = False,
+        self, binary: Binary, sites: list[SyscallSite]
     ) -> OfflinePatchReport:
         """Patch each cancellable ``site`` of ``binary`` in memory."""
         report = OfflinePatchReport()
         for site in sites:
             label = site.symbol or hex(site.syscall_addr)
-            if preserve_intervening:
-                done = self._patch_with_trampoline(site)
-                if done:
-                    report.trampolines.append(label)
-            else:
-                done = self._patch_one(site)
-            if done:
+            if self._patch_one(site):
                 report.patched.append(label)
             else:
                 report.skipped.append(label)
         return report
-
-    # ------------------------------------------------------------------
-    # Trampoline injection
-    # ------------------------------------------------------------------
-    def _ensure_trampoline_page(self) -> None:
-        if not self._trampoline_mapped:
-            self.memory.map_region(
-                TRAMPOLINE_BASE,
-                TRAMPOLINE_SIZE,
-                PageFlags.USER | PageFlags.EXECUTABLE | PageFlags.WRITABLE,
-            )
-            self._trampoline_mapped = True
-
-    def _patch_with_trampoline(self, site: SyscallSite) -> bool:
-        if site.pattern is not SitePattern.CANCELLABLE or site.nr is None:
-            return False
-        region_start = self._find_mov(site, max_back=64)
-        if region_start is None:
-            return False
-        self._ensure_trampoline_page()
-        # The instructions between the mov and the syscall, preserved.
-        intervening = self.memory.read(
-            region_start + 5, site.syscall_addr - (region_start + 5)
-        )
-        resume_addr = site.syscall_addr + 2
-        tramp_addr = self._trampoline_cursor
-        body = bytearray()
-        body += intervening
-        body += enc_call_abs_ind(vsyscall.slot_addr(site.nr))
-        jmp_src = tramp_addr + len(body) + 5  # end of the jmp back
-        body += enc_jmp_rel32(resume_addr - jmp_src)
-        if tramp_addr + len(body) > TRAMPOLINE_BASE + TRAMPOLINE_SIZE:
-            return False
-        self.memory.write(tramp_addr, bytes(body))
-        self._trampoline_cursor += len(body)
-        # Redirect the site: jmp to the trampoline; pad what the jmp
-        # skips with nops for the benefit of disassemblers.
-        hook = enc_jmp_rel32(tramp_addr - (region_start + 5))
-        region_len = resume_addr - region_start
-        padding = enc_nop() * (region_len - len(hook))
-        self.memory.wp_enabled = False
-        try:
-            self.memory.write(region_start, hook + padding)
-        finally:
-            self.memory.wp_enabled = True
-        return True
 
     def _patch_one(self, site: SyscallSite) -> bool:
         if site.pattern is not SitePattern.CANCELLABLE or site.nr is None:
@@ -163,10 +90,10 @@ class OfflinePatcher:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _find_mov(self, site: SyscallSite, max_back: int = 16) -> int | None:
+    def _find_mov(self, site: SyscallSite) -> int | None:
         """Scan back for the ``b8 <nr>`` that begins the wrapper."""
         want = bytes([0xB8]) + (site.nr & 0xFFFFFFFF).to_bytes(4, "little")
-        for back in range(5, max_back + 1):
+        for back in range(5, 17):
             start = site.syscall_addr - back
             if start < 0 or not self.memory.is_mapped(start):
                 break

@@ -5,18 +5,16 @@ Differences from stock Xen PV, as implemented here:
 * a trapped ``syscall`` is handed to ABOM for patching and then transferred
   *directly* to the X-LibOS in the same address space — no page-table
   switch, no TLB flush (stock x86-64 Xen PV pays both, twice per syscall);
-* guest kernel mode vs. guest user mode is inferred from the stack
-  pointer's most-significant bit, because lightweight syscalls no longer
-  tell the hypervisor about mode switches (§4.2);
 * a #UD raised by a jump into the tail of a patched call is fixed up by
   rewinding RIP (§4.4);
-* the ``iret`` and event-delivery hypercalls are gone — the X-LibOS
-  handles both in user mode.
+* the event-delivery hypercall is gone: events are drained directly
+  (:meth:`repro.xen.events.EventChannelTable.drain` with
+  ``via_hypercall=False``).
 
-The X-Kernel still owns everything that needs root privilege: page-table
-updates arrive as validated hypercalls, which is why process creation and
-context switching inside an X-Container are *slower* than native Docker
-(§5.4) even though syscalls are far faster.
+The X-Kernel still owns everything that needs root privilege, which is
+why process creation and context switching inside an X-Container are
+*slower* than native Docker (§5.4) even though syscalls are far faster;
+the cost model prices those page-table hypercalls.
 """
 
 from __future__ import annotations
@@ -29,10 +27,6 @@ from repro.core.abom import ABOM
 from repro.core.xlibos import XLibOS
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
-
-#: Addresses with the MSB set are in the kernel half of the address space.
-_KERNEL_HALF = 1 << 63
-
 
 #: x86 ``hlt``: one byte; an interrupt resumes at the next instruction.
 _HLT_OPCODE = 0xF4
@@ -157,30 +151,3 @@ class XKernel:
         cpu.halted = False
         self.stats.idle_wakes += 1
         return True
-
-    # ------------------------------------------------------------------
-    # Mode discovery (§4.2)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def in_guest_kernel_mode(cpu: CPU) -> bool:
-        """Guest kernel vs. user mode, judged by the stack pointer's MSB.
-
-        "the X-Kernel determines whether the CPU is executing kernel or
-        user process code by checking the location of the current stack
-        pointer ... the most significant bit in the stack pointer indicates
-        whether it is in guest kernel mode or guest user mode."
-        """
-        return bool(cpu.regs.rsp & _KERNEL_HALF)
-
-    # ------------------------------------------------------------------
-    # Hypercalls
-    # ------------------------------------------------------------------
-    def hypercall(self, name: str) -> None:
-        """A validated hypercall (anything needing root privilege)."""
-        self.stats.hypercalls[name] = self.stats.hypercalls.get(name, 0) + 1
-        self.clock.advance(self.costs.hypercall_ns)
-
-    def mmu_update(self, entries: int = 1) -> None:
-        """Batched page-table update — the cost process ops cannot avoid."""
-        self.stats.pt_updates += entries
-        self.clock.advance(self.costs.pt_update_hypercall_ns * entries)

@@ -64,8 +64,6 @@ class LibOsStats:
     lightweight_syscalls: int = 0
     forwarded_syscalls: int = 0
     return_address_skips: int = 0
-    user_mode_irets: int = 0
-    events_delivered: int = 0
 
     @property
     def total_syscalls(self) -> int:
@@ -114,14 +112,21 @@ class XLibOS:
         R = regs._regs
         ret_addr = cpu.mem.read_u64(R[4])
         R[0] = self.services.invoke(nr, cpu) & MASK64
+        # §4.4: skip a trailing ``syscall`` or ``jmp -9`` after the call.
+        # Both are left behind by the 9-byte patch (phase 1 leaves the
+        # original ``syscall``, phase 2 a ``jmp`` back to the call), and
+        # either would re-issue the syscall if returned to.
         page = self.memory._pages.get(ret_addr >> PAGE_SHIFT)
         offset = ret_addr & (PAGE_SIZE - 1)
         if page is not None and offset < PAGE_SIZE - 1:
-            if page.data[offset : offset + 2] in (_SYSCALL, _JMP_BACK):
-                self.stats.return_address_skips += 1
-                ret_addr += 2
-        elif page is not None:
-            ret_addr = self._maybe_skip_dead_instruction(ret_addr)
+            tail = page.data[offset : offset + 2]
+        elif page is not None and self.memory.is_mapped(ret_addr + 1):
+            tail = self.memory.read(ret_addr, 2)  # spans two pages
+        else:
+            tail = None
+        if tail in (_SYSCALL, _JMP_BACK):
+            self.stats.return_address_skips += 1
+            ret_addr += 2
         R[4] = (R[4] + 8) & MASK64
         regs.rip = ret_addr
         self.stats.lightweight_syscalls += 1
@@ -133,52 +138,3 @@ class XLibOS:
         cpu.regs.rax = result
         cpu.regs.rip = syscall_addr + 2
         self.stats.forwarded_syscalls += 1
-
-    def _maybe_skip_dead_instruction(self, ret_addr: int) -> int:
-        """§4.4: skip a trailing ``syscall`` or ``jmp -9`` after the call.
-
-        Both shapes are left behind by the 9-byte patch: phase 1 leaves the
-        original ``syscall``; phase 2 turns it into a ``jmp`` back to the
-        call.  Either would re-issue the syscall if returned to.
-        """
-        if not (
-            self.memory.is_mapped(ret_addr)
-            and self.memory.is_mapped(ret_addr + 1)
-        ):
-            return ret_addr
-        tail = self.memory.read(ret_addr, 2)
-        if tail == _SYSCALL or tail == _JMP_BACK:
-            self.stats.return_address_skips += 1
-            return ret_addr + 2
-        return ret_addr
-
-    # ------------------------------------------------------------------
-    # User-mode iret / event delivery (§4.2)
-    # ------------------------------------------------------------------
-    def user_mode_iret(self, cpu: CPU, frame: dict[str, int]) -> None:
-        """Return from an interrupt handler without a hypercall.
-
-        Implements the §4.2 technique: the saved context is staged on the
-        kernel stack and resumed with an ordinary ``ret`` — here the frame
-        is applied directly, but the cost charged is the user-mode variant
-        (a handful of pushes plus a ret) rather than Xen's iret hypercall.
-        """
-        cpu.regs.rip = frame["rip"]
-        cpu.regs.rsp = frame["rsp"]
-        if "rax" in frame:
-            cpu.regs.rax = frame["rax"]
-        self.stats.user_mode_irets += 1
-        # ~8 register pushes/pops and a ret instead of a hypercall.
-        self.clock.advance(10 * self.costs.instruction_ns)
-
-    def deliver_pending_events(self, pending: list) -> int:
-        """Emulate the interrupt stack frame and run handlers directly.
-
-        In stock Xen PV the guest issues a hypercall to have pending events
-        delivered; the X-LibOS jumps straight into its handlers (§4.2).
-        Each ``pending`` item is a zero-argument callable.
-        """
-        for handler in pending:
-            handler()
-            self.stats.events_delivered += 1
-        return len(pending)

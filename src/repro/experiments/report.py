@@ -21,12 +21,6 @@ class ExperimentResult:
     rows: list[Row]
     notes: str = ""
 
-    def value(self, row_label: str, column: str):
-        for row in self.rows:
-            if row.label == row_label:
-                return row.values.get(column)
-        raise KeyError(f"no row {row_label!r} in {self.experiment}")
-
     def format_table(self) -> str:
         """Render as an aligned text table (the bench harness prints this)."""
         headers = ["", *self.columns]

@@ -37,9 +37,6 @@ class Nth:
         if self.n < 1:
             raise ValueError(f"occurrence index is 1-based: {self.n}")
 
-    def describe(self) -> str:
-        return f"nth={self.n}"
-
 
 @dataclass(frozen=True)
 class Every:
@@ -50,9 +47,6 @@ class Every:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"period must be >= 1: {self.n}")
-
-    def describe(self) -> str:
-        return f"every={self.n}"
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,6 @@ class TimeWindow:
                 f"empty window: [{self.start_ns}, {self.end_ns})"
             )
 
-    def describe(self) -> str:
-        return f"window=[{self.start_ns:g},{self.end_ns:g})ns"
-
 
 @dataclass(frozen=True)
 class Probability:
@@ -81,10 +72,6 @@ class Probability:
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"probability must be in (0, 1]: {self.p}")
-
-    def describe(self) -> str:
-        return f"p={self.p:g}"
-
 
 Trigger = Nth | Every | TimeWindow | Probability
 
@@ -111,14 +98,6 @@ class FaultSpec:
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be >= 1: {self.limit}")
 
-    def describe(self) -> str:
-        parts = [f"{self.site} {self.kind} [{self.trigger.describe()}"]
-        if self.param:
-            parts.append(f" param={self.param:g}")
-        if self.limit is not None:
-            parts.append(f" limit={self.limit}")
-        return "".join(parts) + "]"
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -137,14 +116,6 @@ class FaultPlan:
     ) -> "FaultEngine":
         """Build the engine the substrates fire into."""
         return FaultEngine(self, clock=clock, tracer=tracer)
-
-    def reseeded(self, seed: int | str) -> "FaultPlan":
-        return FaultPlan(self.specs, seed)
-
-    def describe(self) -> str:
-        lines = [f"seed={self.seed}"]
-        lines += [f"  {spec.describe()}" for spec in self.specs]
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -281,14 +252,6 @@ class FaultEngine:
         removed = sum(len(v) for v in self._injectors.values())
         self._injectors.clear()
         return removed
-
-    def armed_specs(self) -> tuple[FaultSpec, ...]:
-        """Currently armed specs, in deterministic (site, arm) order."""
-        return tuple(
-            injector.spec
-            for site in sorted(self._injectors)
-            for injector in self._injectors[site]
-        )
 
     # ------------------------------------------------------------------
     # Injection

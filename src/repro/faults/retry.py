@@ -60,13 +60,6 @@ class RetryPolicy:
             self.max_backoff_ns,
         )
 
-    def total_budget_ns(self) -> float:
-        """Worst-case simulated time spent backing off before giving up."""
-        return sum(
-            self.backoff_ns(failure)
-            for failure in range(1, self.max_attempts)
-        )
-
     def run(
         self,
         fn: Callable[[], T],

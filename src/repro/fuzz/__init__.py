@@ -10,13 +10,12 @@ shrunk counterexample round-trips through JSON, replays byte-identically
 (``repro chaos --replay``), and can be promoted into the scenario
 catalog via :meth:`repro.faults.chaos.Scenario.from_steps`.
 
-Heavy submodules (``machine`` pulls in Hypothesis) import lazily; the
-step schema and world are always available.
+The rule machine and :func:`repro.fuzz.machine.run_fuzz` live in
+``machine``, which pulls in Hypothesis, so this package does not import
+it; the step schema and world are always available.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.fuzz.report import FuzzReport
 from repro.fuzz.steps import OPS, Step, dumps, from_jsonable, loads, step
@@ -34,13 +33,5 @@ __all__ = (
     "dumps",
     "from_jsonable",
     "loads",
-    "run_fuzz",
     "step",
 )
-
-
-def run_fuzz(*args: Any, **kwargs: Any) -> FuzzReport:
-    """Lazy forward to :func:`repro.fuzz.machine.run_fuzz`."""
-    from repro.fuzz.machine import run_fuzz as _run_fuzz
-
-    return _run_fuzz(*args, **kwargs)

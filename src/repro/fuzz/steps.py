@@ -81,12 +81,6 @@ class Step:
                     "(int/str/bool)"
                 )
 
-    def __getitem__(self, name: str) -> ArgValue:
-        for key, value in self.args:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def describe(self) -> str:
         """Single-line rendering used in world traces."""
         inner = " ".join(f"{k}={v}" for k, v in self.args)

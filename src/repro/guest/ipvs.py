@@ -179,14 +179,6 @@ class IPVS:
         server.state = ServerState.REMOVED
         self.stats.servers_removed += 1
 
-    @property
-    def servers(self) -> list[RealServer]:
-        return list(self._servers)
-
-    @property
-    def draining_servers(self) -> list[RealServer]:
-        return [s for s in self._servers if s.state is ServerState.DRAINING]
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

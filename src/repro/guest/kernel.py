@@ -159,14 +159,6 @@ class GuestKernel:
             raise KeyError(f"no such process {pid}")
         return proc
 
-    @property
-    def processes(self) -> list[Process]:
-        return list(self._procs.values())
-
-    @property
-    def nr_processes(self) -> int:
-        return len(self._procs)
-
     # ------------------------------------------------------------------
     # Process lifecycle
     # ------------------------------------------------------------------
@@ -289,12 +281,8 @@ class GuestKernel:
         return written
 
     def close(self, pid: int, fd: int) -> None:
-        proc = self.process(pid)
-        obj = proc.fds.pop(fd, None)
-        if obj is None:
+        if self.process(pid).fds.pop(fd, None) is None:
             raise VfsError(errno.EBADF)
-        if isinstance(obj, PipeEnd):
-            obj.close()
 
     def dup(self, pid: int, fd: int) -> int:
         proc = self.process(pid)
@@ -384,24 +372,21 @@ class GuestKernel:
                 data = cpu.mem.read(buf, min(count, 1 << 20))
                 return self.write(pid, fd, data)
             if nr == SYS["open"] and regs is not None:
-                path = self._read_cstring(cpu, regs.read64(7))
-                flags = regs.read64(6)
-                return self.open(pid, path, flags)
+                # The path is a NUL-terminated string in guest memory.
+                addr = regs.read64(7)
+                path = bytearray()
+                for offset in range(256):
+                    byte = cpu.mem.read(addr + offset, 1)
+                    if byte == b"\x00":
+                        break
+                    path += byte
+                name = path.decode("ascii", errors="replace")
+                return self.open(pid, name, regs.read64(6))
         except VfsError as exc:
             return -exc.errno
         # Accounted no-op for anything else.
         self.clock.advance(self.costs.vfs_op_ns * 0.2)
         return 0
-
-    @staticmethod
-    def _read_cstring(cpu, addr: int, limit: int = 256) -> str:
-        out = bytearray()
-        for offset in range(limit):
-            byte = cpu.mem.read(addr + offset, 1)
-            if byte == b"\x00":
-                break
-            out += byte
-        return out.decode("ascii", errors="replace")
 
     def _spawn_emulator_process(self) -> int:
         """Create the process machine code runs as (on the first

@@ -9,7 +9,6 @@ engine supporting the statement shapes the workload needs::
     SELECT v FROM kv WHERE k = 'alpha'
     SELECT * FROM kv
     UPDATE kv SET v = 2 WHERE k = 'alpha'
-    DELETE FROM kv WHERE k = 'alpha'
 
 Values are integers or single-quoted strings.  The engine is
 deterministic and dependency-free; each query charges a fixed cost to
@@ -41,10 +40,6 @@ _SELECT = re.compile(
 _UPDATE = re.compile(
     r"^\s*UPDATE\s+(\w+)\s+SET\s+(\w+)\s*=\s*(.+?)"
     r"(?:\s+WHERE\s+(\w+)\s*=\s*(.+?))?\s*$",
-    re.IGNORECASE,
-)
-_DELETE = re.compile(
-    r"^\s*DELETE\s+FROM\s+(\w+)(?:\s+WHERE\s+(\w+)\s*=\s*(.+?))?\s*$",
     re.IGNORECASE,
 )
 
@@ -121,9 +116,6 @@ class MiniDB:
         match = _UPDATE.match(sql)
         if match:
             return self._update(*match.groups())
-        match = _DELETE.match(sql)
-        if match:
-            return self._delete(*match.groups())
         raise SqlError(f"cannot parse statement: {sql!r}")
 
     # ------------------------------------------------------------------
@@ -186,16 +178,6 @@ class MiniDB:
             table.rows[i][set_index] = value
         self.stats.writes += 1
         return len(matches)
-
-    def _delete(self, name, where_col, where_val) -> int:
-        table = self.table(name)
-        matches = set(self._match_rows(table, where_col, where_val))
-        before = len(table.rows)
-        table.rows = [
-            row for i, row in enumerate(table.rows) if i not in matches
-        ]
-        self.stats.writes += 1
-        return before - len(table.rows)
 
 
 def _split_values(spec: str) -> list[str]:

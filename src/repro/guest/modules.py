@@ -42,9 +42,6 @@ class ModuleRegistry:
             )
         self.loaded.add(name)
 
-    def unload(self, name: str) -> None:
-        self.loaded.discard(name)
-
     def is_loaded(self, name: str) -> bool:
         return name in self.loaded
 

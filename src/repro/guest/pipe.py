@@ -24,14 +24,8 @@ class Pipe:
         self.capacity = capacity
         self._buffer = deque()
         self._buffered = 0
-        self.read_open = True
-        self.write_open = True
         self.bytes_written = 0
         self.bytes_read = 0
-
-    @property
-    def buffered(self) -> int:
-        return self._buffered
 
     @property
     def free_space(self) -> int:
@@ -40,10 +34,6 @@ class Pipe:
     def write(self, data: bytes) -> int:
         """Write up to the free space; returns bytes accepted (0 = would
         block)."""
-        if not self.write_open:
-            raise PipeError(errno.EBADF)
-        if not self.read_open:
-            raise PipeError(errno.EPIPE)
         accepted = data[: self.free_space]
         if accepted:
             self._buffer.append(bytes(accepted))
@@ -52,10 +42,7 @@ class Pipe:
         return len(accepted)
 
     def read(self, count: int) -> bytes:
-        """Read up to ``count`` buffered bytes (b"" = empty: EOF if the
-        write end closed, otherwise would-block)."""
-        if not self.read_open:
-            raise PipeError(errno.EBADF)
+        """Read up to ``count`` buffered bytes (b"" = empty)."""
         if count < 0:
             raise PipeError(errno.EINVAL)
         out = bytearray()
@@ -69,16 +56,6 @@ class Pipe:
         self.bytes_read += len(out)
         return bytes(out)
 
-    def close_read(self) -> None:
-        self.read_open = False
-
-    def close_write(self) -> None:
-        self.write_open = False
-
-    @property
-    def eof(self) -> bool:
-        return not self.write_open and self._buffered == 0
-
 
 @dataclass
 class PipeEnd:
@@ -86,9 +63,3 @@ class PipeEnd:
 
     pipe: Pipe
     writable: bool
-
-    def close(self) -> None:
-        if self.writable:
-            self.pipe.close_write()
-        else:
-            self.pipe.close_read()

@@ -50,9 +50,6 @@ class Socket:
     bytes_sent: int = 0
     bytes_received: int = 0
 
-    def buffered(self) -> int:
-        return sum(len(chunk) for chunk in self.rx)
-
 
 class VirtualNetwork:
     """A host-local L3 fabric connecting kernel instances."""

@@ -29,10 +29,6 @@ class Inode:
     data: bytearray = field(default_factory=bytearray)
     mode: int = 0o644
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
 
 @dataclass
 class OpenFile:
@@ -68,17 +64,6 @@ class RamFS:
     def exists(self, path: str) -> bool:
         return path in self._inodes
 
-    def stat_size(self, path: str) -> int:
-        return self._lookup(path).size
-
-    def unlink(self, path: str) -> None:
-        if path not in self._inodes:
-            raise VfsError(errno.ENOENT, path)
-        del self._inodes[path]
-
-    def paths(self) -> list[str]:
-        return sorted(self._inodes)
-
     def _lookup(self, path: str) -> Inode:
         inode = self._inodes.get(path)
         if inode is None:
@@ -99,7 +84,7 @@ class RamFS:
         if flags & O_TRUNC and handle.writable:
             inode.data.clear()
         if flags & O_APPEND:
-            handle.offset = inode.size
+            handle.offset = len(inode.data)
         return handle
 
     def read(self, handle: OpenFile, count: int) -> bytes:
@@ -121,9 +106,3 @@ class RamFS:
         inode_data[handle.offset : end] = data
         handle.offset = end
         return len(data)
-
-    def lseek(self, handle: OpenFile, offset: int) -> int:
-        if offset < 0:
-            raise VfsError(errno.EINVAL, handle.inode.path)
-        handle.offset = offset
-        return offset

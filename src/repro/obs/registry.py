@@ -87,16 +87,8 @@ class Instrument:
         self.labels = labels
         self.help = help
 
-    @property
-    def key(self) -> tuple[str, LabelItems]:
-        return (self.name, self.labels)
-
     def value(self) -> float:
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        labels = ",".join(f"{k}={v}" for k, v in self.labels)
-        return f"{type(self).__name__}({self.name}{{{labels}}})"
 
 
 class Counter(Instrument):
@@ -132,12 +124,6 @@ class Gauge(Instrument):
 
     def set(self, value: float) -> None:
         self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     def value(self) -> float:
         return self._value
@@ -329,10 +315,6 @@ class Sample:
         self.value = value
         self.help = help
 
-    @property
-    def key(self) -> tuple[str, LabelItems]:
-        return (self.name, self.labels)
-
 
 class Registry:
     """Instrument store with label scoping via child views.
@@ -360,10 +342,6 @@ class Registry:
         view._families = self._families
         view.spans = self.spans
         return view
-
-    @property
-    def scope(self) -> LabelItems:
-        return self._scope
 
     def _labels(self, labels: Mapping[str, object]) -> LabelItems:
         merged = dict(self._scope)

@@ -159,11 +159,6 @@ class TraceRecorder:
             and (name is None or r.name == name)
         ]
 
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
-        self._overflow_warned = False
-
     def render(self, limit: int = 50) -> str:
         """Deterministic fixed-width span table (``repro trace``): the
         header, then the last ``limit`` finished spans."""

@@ -197,16 +197,6 @@ def wire_libos(registry: Registry, libos: Any) -> None:
         lambda: stats.return_address_skips,
         help="dead syscall/jmp bytes skipped at the return address",
     )
-    registry.bind(
-        "core_libos_user_mode_irets_total",
-        lambda: stats.user_mode_irets,
-        help="iret returns handled in user mode (no hypercall)",
-    )
-    registry.bind(
-        "core_libos_events_delivered_total",
-        lambda: stats.events_delivered,
-        help="events delivered in user mode (no hypercall)",
-    )
 
 
 # -- xen --------------------------------------------------------------------

@@ -11,7 +11,7 @@ instant events on this clock) lives in :mod:`repro.obs.tracing`.
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel, MachineSpec
 from repro.perf.rand import DeterministicRng
-from repro.perf.stats import RunStats, percentile, summarize
+from repro.perf.stats import RunStats, summarize
 
 __all__ = [
     "SimClock",
@@ -19,6 +19,5 @@ __all__ = [
     "MachineSpec",
     "DeterministicRng",
     "RunStats",
-    "percentile",
     "summarize",
 ]

@@ -32,10 +32,6 @@ class SimClock:
         return self._now_ns / 1e3
 
     @property
-    def now_ms(self) -> float:
-        return self._now_ns / 1e6
-
-    @property
     def now_s(self) -> float:
         return self._now_ns / 1e9
 
@@ -51,11 +47,3 @@ class SimClock:
         if target_ns > self._now_ns:
             self._now_ns = target_ns
         return self._now_ns
-
-    def reset(self, start_ns: float = 0.0) -> None:
-        if start_ns < 0:
-            raise ValueError(f"clock cannot reset before zero: {start_ns}")
-        self._now_ns = float(start_ns)
-
-    def __repr__(self) -> str:
-        return f"SimClock(now_ns={self._now_ns:.1f})"

@@ -39,10 +39,6 @@ class MachineSpec:
     #: calibration reference machine).
     speed_factor: float = 1.0
 
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.ghz
-
 
 @dataclass(frozen=True)
 class CostModel:

@@ -1,32 +1,13 @@
 """Statistics helpers for experiment results.
 
 The paper reports "the average and standard deviation of five runs" (§5.1);
-:class:`RunStats` collects exactly that, plus the latency percentiles the
-macro benchmarks need.
+:class:`RunStats` collects exactly that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-
-def percentile(values: list[float], pct: float) -> float:
-    """Linear-interpolation percentile (pct in [0, 100])."""
-    if not values:
-        raise ValueError("cannot take the percentile of no values")
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"percentile out of range: {pct}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
 
 
 @dataclass
@@ -68,22 +49,6 @@ class RunStats:
     def add(self, value: float) -> None:
         self.samples.append(value)
 
-    def extend(self, values: list[float]) -> None:
-        self.samples.extend(values)
-
     @property
     def mean(self) -> float:
         return summarize(self.samples).mean
-
-    @property
-    def std(self) -> float:
-        return summarize(self.samples).std
-
-    def pct(self, p: float) -> float:
-        return percentile(self.samples, p)
-
-    def summary(self) -> Summary:
-        return summarize(self.samples)
-
-    def __len__(self) -> int:
-        return len(self.samples)

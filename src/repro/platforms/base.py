@@ -79,17 +79,10 @@ class Platform(abc.ABC):
         """How server packets traverse into this runtime."""
 
     def make_netstack(self, kernel: GuestKernel | None = None) -> NetStack:
-        stack = NetStack(
-            self.costs,
-            kernel.config if kernel else self._net_kernel_config(),
-            self.net_device(),
-        )
-        return stack
-
-    def _net_kernel_config(self):
         from repro.guest.config import KernelConfig
 
-        return KernelConfig.host_default()
+        config = kernel.config if kernel else KernelConfig.host_default()
+        return NetStack(self.costs, config, self.net_device())
 
     def net_request_extra_ns(self) -> float:
         """Forwarding cost outside the serving kernel (DNAT in the host /

@@ -52,9 +52,6 @@ class GraphenePlatform(Platform):
         # through the host kernel.
         return NetDevice.DIRECT
 
-    def net_request_extra_ns(self) -> float:
-        return 0.0  # no port forwarding in the local-cluster setup (§5.5)
-
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
         clock = clock if clock is not None else SimClock()
         config = KernelConfig(

@@ -39,9 +39,6 @@ class UnikernelPlatform(Platform):
     def net_device(self) -> NetDevice:
         return NetDevice.DIRECT
 
-    def net_request_extra_ns(self) -> float:
-        return 0.0  # local-cluster setup (§5.5)
-
     def make_kernel(self, clock: SimClock | None = None) -> GuestKernel:
         clock = clock if clock is not None else SimClock()
         config = KernelConfig(

@@ -94,10 +94,6 @@ class RaceDetector:
             vc_join(self._clock(actor), published)
         self.sync_edges += 1
 
-    def clocks(self) -> dict[str, VClock]:
-        """Snapshot of all actor clocks (for tests and reports)."""
-        return {actor: dict(clock) for actor, clock in sorted(self._clocks.items())}
-
     # ------------------------------------------------------------------
     # Page tracking
     # ------------------------------------------------------------------

@@ -47,7 +47,6 @@ class SanitizerSuite:
         self.rings: ProtocolChecker = ProtocolChecker()
         #: Whoever the execution driver says is running right now.
         self.current_actor = "main"
-        self._memories: list[tuple[PagedMemory, object, object]] = []
 
     # ------------------------------------------------------------------
     # Memory attachment (race detector substrate)
@@ -66,14 +65,6 @@ class SanitizerSuite:
 
         memory.add_write_observer(on_write)
         memory.add_lock_observer(on_lock)
-        self._memories.append((memory, on_write, on_lock))
-
-    def detach(self) -> None:
-        """Remove every observer this suite registered."""
-        for memory, on_write, on_lock in self._memories:
-            memory.remove_write_observer(on_write)  # type: ignore[arg-type]
-            memory.remove_lock_observer(on_lock)  # type: ignore[arg-type]
-        self._memories.clear()
 
     # ------------------------------------------------------------------
     # CPU hooks

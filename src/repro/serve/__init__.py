@@ -25,7 +25,6 @@ from repro.serve.scenario import (
     ServeScenario,
     SloPolicy,
     get_scenario,
-    scenario_names,
 )
 from repro.serve.traffic import SERVE_LATENCY_BUCKETS_NS
 
@@ -47,5 +46,4 @@ __all__ = [
     "backend_host",
     "get_scenario",
     "run_serve",
-    "scenario_names",
 ]

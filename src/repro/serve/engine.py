@@ -360,10 +360,7 @@ class ServeEngine:
                             )
                     else:
                         down_total.inc(decision.amount)
-                        for victim in self._downscale_victims(
-                            fleet, decision.amount
-                        ):
-                            fleet.drain(victim)
+                        fleet.drain_idlest(decision.amount)
                     events.append(ServeEvent(
                         decision.t_ms,
                         f"autoscale {decision.direction} "
@@ -487,12 +484,3 @@ class ServeEngine:
             )
             for mine in per_shard
         ]
-
-    @staticmethod
-    def _downscale_victims(fleet: BackendFleet, amount: int) -> list[int]:
-        """Drain the newest, least-loaded backends first."""
-        ranked = sorted(
-            fleet.alive_ids(),
-            key=lambda b: (fleet.active_conns(b), -b),
-        )
-        return ranked[:amount]

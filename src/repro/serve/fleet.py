@@ -74,10 +74,16 @@ class BackendFleet:
             self._activate(backend_id)
         return ready
 
-    def drain(self, backend_id: int) -> None:
-        """Scale-down removal: no new connections, existing ones finish."""
-        server = self._server_of[backend_id]
-        self.ipvs.remove_server(server.host, server.port, drain=True)
+    def drain_idlest(self, amount: int) -> None:
+        """Scale-down removal of ``amount`` backends, the newest of the
+        least loaded first: no new connections, existing ones finish."""
+        victims = sorted(
+            self.alive_ids(),
+            key=lambda b: (self._server_of[b].active_conns, -b),
+        )
+        for backend_id in victims[:amount]:
+            server = self._server_of[backend_id]
+            self.ipvs.remove_server(server.host, server.port, drain=True)
 
     def kill(self, backend_id: int) -> int:
         """Chaos backend death; returns the connections that died."""
@@ -114,6 +120,3 @@ class BackendFleet:
     def n_provisioned(self) -> int:
         """Alive plus still-warming backends (the autoscaler's count)."""
         return self.n_alive() + len(self._pending)
-
-    def active_conns(self, backend_id: int) -> int:
-        return self._server_of[backend_id].active_conns

@@ -259,6 +259,7 @@ class ServeScenario:
 # Catalog
 # ---------------------------------------------------------------------------
 
+
 def _scenarios() -> dict[str, ServeScenario]:
     catalog = (
         ServeScenario(
@@ -371,7 +372,3 @@ def get_scenario(name: str) -> ServeScenario:
         raise KeyError(
             f"unknown serve scenario {name!r} (known: {known})"
         ) from None
-
-
-def scenario_names() -> list[str]:
-    return sorted(SCENARIOS)

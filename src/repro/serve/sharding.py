@@ -85,10 +85,6 @@ class ProcessRunner:
         self._pool.join()
 
 
-def default_workers(shards: int) -> int:
-    return max(1, min(shards, (os.cpu_count() or 1) - 1))
-
-
 def make_runner(
     cfg: ShardConfig,
     shards: int,
@@ -96,7 +92,7 @@ def make_runner(
 ) -> SerialRunner | ProcessRunner:
     """Pick a runner; ``workers=None`` sizes the pool from the host."""
     if workers is None:
-        workers = default_workers(shards)
+        workers = max(1, min(shards, (os.cpu_count() or 1) - 1))
     if workers <= 1:
         return SerialRunner(cfg)
     try:

@@ -55,22 +55,6 @@ class AppSpec:
     paper_reduction: float = 1.0
     paper_manual_reduction: float | None = None
 
-    @property
-    def invocations_per_round(self) -> int:
-        return sum(site.count for site in self.sites)
-
-    def patchable_fraction(self) -> float:
-        """What ABOM should convert, from the site mix alone."""
-        patchable = {
-            "mov_eax": True,
-            "mov_rax": True,
-            "go_stack": True,
-            "cancellable": False,
-            "bare": False,
-        }
-        good = sum(s.count for s in self.sites if patchable[s.style])
-        return good / self.invocations_per_round
-
 
 def build_trace_binary(app: AppSpec, base: int = 0x400000) -> Binary:
     """One round of the app's syscall mix as machine code."""

@@ -21,9 +21,6 @@ DEFAULT_RUNS = 5
 RUN_NOISE = 0.015
 
 
-import math
-
-
 @dataclass
 class BenchReport:
     platform: str
@@ -38,26 +35,6 @@ class BenchReport:
     @property
     def mean_latency_ms(self) -> float:
         return self.latency_ms.mean
-
-    def latency_pct_ms(self, pct: float) -> float:
-        """Latency percentile under an exponential sojourn-time model.
-
-        Closed-loop sojourn times in a saturated M/M/c-ish server are
-        close to exponential, whose quantile is ``-mean * ln(1 - p)``
-        (p50 ≈ 0.69×mean, p99 ≈ 4.6×mean) — the long-tail shape wrk
-        reports.
-        """
-        if not 0.0 < pct < 100.0:
-            raise ValueError(f"percentile out of range: {pct}")
-        return -self.mean_latency_ms * math.log(1.0 - pct / 100.0)
-
-    @property
-    def p50_latency_ms(self) -> float:
-        return self.latency_pct_ms(50.0)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return self.latency_pct_ms(99.0)
 
 
 class ClosedLoopClient:

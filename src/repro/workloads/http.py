@@ -303,8 +303,3 @@ class HttpClient:
             parsed = parse_response(raw)
             self._parsed[raw] = parsed
         return parsed
-
-    def close(self) -> None:
-        """Close all pooled connections."""
-        for address, (fd, _sock) in list(self._conns.items()):
-            self._drop(address, fd)

@@ -15,7 +15,7 @@ from repro.guest.kernel import GuestKernel
 from repro.guest.netstack import NetDevice
 from repro.guest.socket import VirtualNetwork
 from repro.perf.clock import SimClock
-from repro.perf.stats import RunStats, percentile
+from repro.perf.stats import RunStats
 from repro.workloads.http import HttpClient, StaticHttpServer
 
 
@@ -26,9 +26,6 @@ class WrkRunReport:
     duration_ms: float
     throughput_rps: float
     latency_us: RunStats
-
-    def latency_pct_us(self, pct: float) -> float:
-        return percentile(self.latency_us.samples, pct)
 
 
 class FunctionalWrk:

@@ -66,10 +66,6 @@ class BlockStore:
             )
         self._sectors[sector] = bytes(data)
 
-    @property
-    def allocated_sectors(self) -> int:
-        return len(self._sectors)
-
 
 @dataclass
 class BlockStats:
@@ -90,19 +86,6 @@ class BlockStats:
         if self.batches == 0:
             return 0.0
         return (self.reads + self.writes) / self.batches
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "bytes_moved": self.bytes_moved,
-            "backend_deaths": self.backend_deaths,
-            "backend_restarts": self.backend_restarts,
-            "ring_stalls": self.ring_stalls,
-            "batches": self.batches,
-            "avg_batch_size": self.avg_batch_size,
-            "kicks_saved": self.kicks_saved,
-        }
 
 
 class SplitBlockDriver:

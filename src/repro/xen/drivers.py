@@ -72,20 +72,6 @@ class RingStats:
             return 0.0
         return self.requests / self.batches
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "requests": self.requests,
-            "responses": self.responses,
-            "bytes_moved": self.bytes_moved,
-            "kicks": self.kicks,
-            "ring_full_stalls": self.ring_full_stalls,
-            "backend_deaths": self.backend_deaths,
-            "backend_restarts": self.backend_restarts,
-            "batches": self.batches,
-            "avg_batch_size": self.avg_batch_size,
-            "kicks_saved": self.kicks_saved,
-        }
-
 
 class SplitNetDriver:
     """One netfront/netback pair between a guest and the driver domain."""

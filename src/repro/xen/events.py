@@ -149,9 +149,6 @@ class EventChannelTable:
         self.evtchn_upcall_pending = True
         return True
 
-    def pending_ports(self) -> list[int]:
-        return [p for p, c in self._channels.items() if c.pending > 0]
-
     def drain(self, via_hypercall: bool) -> int:
         """Deliver all pending events; returns the number delivered.
 

@@ -72,10 +72,6 @@ class HypercallTable:
         self.clock.advance(cost)
         return cost
 
-    @property
-    def total_calls(self) -> int:
-        return sum(self.counts.values())
-
     @staticmethod
     def attack_surface_ratio() -> float:
         """How much smaller the exokernel interface is than Linux's."""

@@ -15,7 +15,7 @@ run on :class:`repro.core.xkernel.XKernel` instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
@@ -40,10 +40,6 @@ class Domain:
     #: Xen's Meltdown mitigation state for this guest's kernel.
     guest_kpti: bool = False
     running: bool = True
-    stats: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.stats[key] = self.stats.get(key, 0) + amount
 
 
 class XenHypervisor:
@@ -98,9 +94,6 @@ class XenHypervisor:
             self.grants.sanitizer.on_domain_destroy(domid)
         self._domains.pop(domid, None)
 
-    def domain(self, domid: int) -> Domain:
-        return self._domains[domid]
-
     @property
     def domains(self) -> list[Domain]:
         return list(self._domains.values())
@@ -131,18 +124,6 @@ class XenHypervisor:
         if self.xpti_patched:
             cost += self.costs.xpti_syscall_extra_ns
         return cost
-
-    def pv_syscall(self, domain: Domain) -> float:
-        """Charge one forwarded syscall for ``domain``."""
-        cost = self.pv_syscall_cost_ns()
-        self.clock.advance(cost)
-        domain.bump("pv_syscalls")
-        return cost
-
-    def iret(self, domain: Domain) -> float:
-        """The iret hypercall stock guests need to return from handlers."""
-        domain.bump("irets")
-        return self.hypercalls.call("iret")
 
     def context_switch_cost_ns(self, same_domain: bool) -> float:
         """Process switch inside a PV guest.

@@ -76,10 +76,6 @@ class CreditScheduler:
     def runnable(self) -> list[VCpu]:
         return [v for v in self._vcpus if v.runnable]
 
-    @property
-    def parked(self) -> list[VCpu]:
-        return [v for v in self._vcpus if not v.runnable]
-
     # ------------------------------------------------------------------
     # Park / wake (the discrete-event engine's blocked-vCPU protocol)
     # ------------------------------------------------------------------

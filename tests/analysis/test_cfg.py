@@ -17,7 +17,7 @@ def test_straight_line_is_one_block():
     assert [i.mnemonic for _, i in block.instructions] == [
         "nop", "inc_r64", "dec_r64", "hlt",
     ]
-    assert cfg.successors(0x1000) == []
+    assert cfg.edges == []
 
 
 def test_loop_edges():
@@ -53,27 +53,29 @@ def test_jump_target_splits_block():
         if e.kind is EdgeKind.FALLTHROUGH and e.dst == target
     ]
     assert fallthrough
-    assert cfg.block_containing(0x1000).end == target
+    assert cfg.blocks[0x1000].end == target
 
 
 def test_call_edges_and_return_resumption():
+    slot = 0xFFFFFFFFFF600008
     asm = Assembler(base=0x1000)
     asm.entry()
-    asm.call("fn")
-    asm.hlt()
-    asm.label("fn")
+    asm.raw(enc_call_abs_ind(slot))
     asm.nop()
-    asm.ret()
-    binary = asm.build()
-    cfg = recover_binary_cfg(binary)
-    fn = binary.symbols["fn"]
+    asm.hlt()
+    cfg = recover_binary_cfg(asm.build())
+    resume = 0x1007  # after the 7-byte call
     kinds = {(e.dst, e.kind) for e in cfg.edges}
-    assert (fn, EdgeKind.CALL) in kinds
-    assert (0x1005, EdgeKind.CALL_RETURN) in kinds  # after the 5-byte call
-    # ret ends its block with no successors.
-    assert cfg.successors(fn) == []
-    # Both the call target and the return point are landing targets.
-    assert {fn, 0x1005} <= cfg.landing_targets()
+    assert (slot, EdgeKind.CALL) in kinds
+    assert (resume, EdgeKind.CALL_RETURN) in kinds
+    # The call ends its block; execution resumes in a block of its own.
+    assert cfg.blocks[0x1000].end == resume
+    assert [i.mnemonic for _, i in cfg.blocks[resume].instructions] == [
+        "nop", "hlt",
+    ]
+    # The return point is a landing target; the slot is outside text.
+    assert resume in cfg.landing_targets()
+    assert slot in cfg.external_targets
 
 
 def test_syscall_gets_trap_resume_edge():

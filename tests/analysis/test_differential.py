@@ -2,10 +2,21 @@
 
 import dataclasses
 
-from repro.analysis.differential import run_differential
+from repro.analysis.differential import run_differential as _run
 from repro.analysis.examples import EXAMPLES
-from repro.analysis.sites import discover_binary_sites
+from repro.analysis.report import analyze
 from repro.arch import Assembler, Reg
+
+
+def discover_binary_sites(binary):
+    return analyze(binary, differential=False).sites
+
+
+def run_differential(binary, sites=None):
+    """Diff against ``sites``, by default a fresh static discovery."""
+    if sites is None:
+        sites = discover_binary_sites(binary)
+    return _run(binary, sites)
 
 
 class TestDecisionDiff:

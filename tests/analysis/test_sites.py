@@ -3,16 +3,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sites import discover_binary_sites
+from repro.analysis.report import analyze
 from repro.arch import Assembler, Reg
 from repro.arch.binary import SitePattern
+from repro.arch.encoding import enc_pop_r64, enc_push_r64
 from repro.core import CountingServices, XContainer
 from repro.core.vsyscall import dynamic_slot_addr, slot_addr
 from repro.obs import TraceRecorder
 
 
 def discover(binary):
-    return discover_binary_sites(binary)
+    return analyze(binary, differential=False).sites
 
 
 class TestClassification:
@@ -94,9 +95,9 @@ class TestClassification:
     def test_rax_clobber_between_mov_and_syscall_is_bare(self):
         # mov $3,%eax; pop %rax; syscall — the pop kills the wrapper.
         asm = Assembler()
-        asm.push(Reg.RCX)
+        asm.raw(enc_push_r64(Reg.RCX))
         asm.mov_imm32(Reg.RAX, 3)
-        asm.pop(Reg.RAX)
+        asm.raw(enc_pop_r64(Reg.RAX))
         asm.raw_syscall()
         asm.hlt()
         (site,) = discover(asm.build())

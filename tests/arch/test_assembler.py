@@ -12,11 +12,11 @@ class TestLabels:
         asm.jmp("end")
         asm.label("mid")
         asm.nop()
-        asm.jmp8("start")
+        asm.je("start")
         asm.label("end")
         asm.hlt()
         binary = asm.build()
-        # jmp rel32 at offset 0, target = len 5 + 1 nop + 2 jmp8 = offset 8
+        # jmp rel32 at offset 0, target = len 5 + 1 nop + 2 je = offset 8
         instr = decode(binary.code, 0)
         assert instr.mnemonic == "jmp_rel32"
         assert instr.operands[0] == 3  # 8 - (0 + 5)
@@ -82,7 +82,6 @@ class TestSyscallSites:
         site = asm.syscall_site(0, style="cancellable")
         binary = asm.build()
         assert site.pattern is SitePattern.CANCELLABLE
-        assert not site.pattern.online_patchable
         # mov(5) + 2 nops, syscall at +7
         assert site.syscall_addr == 0x1007
         assert binary.code[5:7] == b"\x90\x90"
@@ -96,13 +95,6 @@ class TestSyscallSites:
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
             Assembler().syscall_site(0, style="nonsense")
-
-    def test_online_patchable_classification(self):
-        assert SitePattern.MOV_EAX_IMM.online_patchable
-        assert SitePattern.MOV_RAX_IMM.online_patchable
-        assert SitePattern.GO_STACK.online_patchable
-        assert not SitePattern.CANCELLABLE.online_patchable
-        assert not SitePattern.BARE.online_patchable
 
     def test_site_lookup_by_symbol(self):
         asm = Assembler()

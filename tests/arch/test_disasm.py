@@ -1,6 +1,16 @@
 from repro.arch import Assembler, Reg, disassemble, format_listing
 from repro.arch.disasm import disassemble_memory
-from repro.arch.encoding import enc_call_abs_ind
+from repro.arch.encoding import (
+    ALL_MNEMONICS,
+    decode,
+    enc_add_r64_imm8,
+    enc_call_abs_ind,
+    enc_jmp_rel8,
+    enc_mov_r64_r64,
+    enc_pop_r64,
+    enc_push_r64,
+    enc_sub_r64_imm8,
+)
 from repro.core import CountingServices, XContainer
 
 
@@ -19,9 +29,8 @@ class TestDisassembler:
 
     def test_jump_targets_absolute(self):
         asm = Assembler(base=0x1000)
-        asm.label("top")
         asm.nop()
-        asm.jmp8("top")
+        asm.raw(enc_jmp_rel8(-3))  # back to the nop
         lines = disassemble(asm.build().code, base=0x1000)
         assert "jmp    0x1000" in lines[1].text
 
@@ -35,9 +44,9 @@ class TestDisassembler:
         # Two bytes of embedded data, then a real instruction: the
         # disassembler must emit one .byte line per junk byte and pick
         # decoding back up at the nop.
-        lines = disassemble(b"\x60\x61\x90\xc3", base=0x1000)
+        lines = disassemble(b"\x60\x61\x90\xf4", base=0x1000)
         assert [line.text for line in lines] == [
-            ".byte 0x60", ".byte 0x61", "nop", "retq",
+            ".byte 0x60", ".byte 0x61", "nop", "hlt",
         ]
         assert [line.addr for line in lines] == [
             0x1000, 0x1001, 0x1002, 0x1003,
@@ -56,28 +65,33 @@ class TestDisassembler:
         asm = Assembler()
         asm.mov_imm32(Reg.RAX, 1)
         asm.mov_imm64_low(Reg.RDI, 2)
-        asm.mov_reg(Reg.RSI, Reg.RDI)
+        asm.raw(enc_mov_r64_r64(Reg.RSI, Reg.RDI))
         asm.load_rsp64(Reg.RAX, 8)
         asm.store_rsp64(8, Reg.RAX)
-        asm.load_rsp32(Reg.RAX, 8)
-        asm.store_rsp32(8, Reg.RAX)
-        asm.push(Reg.RBP)
-        asm.pop(Reg.RBP)
-        asm.add(Reg.RAX, 1)
-        asm.sub(Reg.RAX, 1)
+        asm.raw(enc_push_r64(Reg.RBP))
+        asm.raw(enc_pop_r64(Reg.RBP))
+        asm.raw(enc_add_r64_imm8(Reg.RAX, 1))
+        asm.raw(enc_sub_r64_imm8(Reg.RAX, 1))
         asm.cmp(Reg.RAX, 0)
         asm.inc(Reg.RCX)
         asm.dec(Reg.RCX)
         asm.xor(Reg.RDX, Reg.RDX)
         asm.nop()
-        asm.ret()
+        asm.syscall_site(39)
+        asm.raw(enc_call_abs_ind(0xFFFFFFFFFF600008))
+        asm.raw(enc_jmp_rel8(0))
+        asm.jmp("end")
+        asm.je("end")
+        asm.jne("end")
+        asm.label("end")
         asm.hlt()
-        asm.raw(b"\xcc")
         lines = disassemble(asm.build().code)
+        # Every form of the subset, and none of them a .byte line.
+        assert {decode(line.raw).mnemonic for line in lines} == ALL_MNEMONICS
         assert all(not line.text.startswith(".byte") for line in lines)
         listing = format_listing(lines)
         assert "push   %rbp" in listing
-        assert "retq" in listing
+        assert "callq  *0xffffffffff600008" in listing
 
     def test_disassemble_patched_site_from_memory(self):
         asm = Assembler()

@@ -9,6 +9,7 @@ architecturally exact RIP.  See ``docs/interpreter_performance.md``.
 import pytest
 
 from repro.arch import Assembler, CPU, PagedMemory, Reg
+from repro.arch.encoding import enc_call_abs_ind, enc_push_r64
 from repro.arch.memory import PageFault, PageFlags
 from repro.arch.tracecache import HOT_THRESHOLD, MIN_LINEAR_OPS
 
@@ -32,25 +33,6 @@ def counting_loop(iterations):
     asm.xor(Reg.RAX, Reg.RAX)
     asm.label("loop")
     asm.inc(Reg.RAX)
-    asm.dec(Reg.RBX)
-    asm.jne("loop")
-    asm.hlt()
-    return asm.build()
-
-
-def call_loop(iterations):
-    """A hot loop whose body calls a subroutine: exercises the
-    call/ret-guard steps of the recorder."""
-    asm = Assembler(base=BASE)
-    asm.mov_imm32(Reg.RBX, iterations)
-    asm.xor(Reg.RAX, Reg.RAX)
-    asm.jmp("loop")
-    asm.label("sub")
-    asm.inc(Reg.RAX)
-    asm.inc(Reg.RAX)
-    asm.ret()
-    asm.label("loop")
-    asm.call("sub")
     asm.dec(Reg.RBX)
     asm.jne("loop")
     asm.hlt()
@@ -116,17 +98,35 @@ class TestCompilation:
         assert stats.instructions >= (1000 - HOT_THRESHOLD - 1) * 3
         assert stats.code_bytes > 0
 
-    def test_call_ret_chain_is_stitched(self):
-        traced = fresh_cpu(call_loop(400))
-        traced.run()
-        plain = fresh_cpu(call_loop(400), tracecache=False)
-        plain.run()
-        assert final_state(traced) == final_state(plain)
-        assert traced.regs.rax == 800
-        stats = traced.trace_stats
-        assert stats.compiles >= 1
-        # The stitched superblock spans call + body + ret per iteration.
-        assert stats.instructions > 1000
+    def test_call_into_guest_code_ends_the_trace(self):
+        """Only a ``call *slot`` into a native stub is followed; one into
+        guest code ends the trace with an exit before the call."""
+        slot = 0x7E0000
+        asm = Assembler(base=BASE)
+        asm.mov_imm32(Reg.RBX, 100)
+        asm.label("loop")
+        for _ in range(MIN_LINEAR_OPS):
+            asm.inc(Reg.RAX)
+        asm.raw(enc_call_abs_ind(slot))
+        asm.label("body")
+        asm.dec(Reg.RBX)
+        asm.jne("loop")
+        asm.hlt()
+        binary = asm.build()
+        states = []
+        for tracecache in (True, False):
+            cpu = fresh_cpu(binary, tracecache=tracecache)
+            cpu.mem.map_region(slot, 0x1000, PageFlags.USER | PageFlags.WRITABLE)
+            cpu.mem.write_u64(slot, binary.symbols["body"])
+            cpu.run()
+            states.append(final_state(cpu))
+            if tracecache:
+                trace = cpu._tracecache.traces[binary.symbols["loop"]]
+                assert not trace.loop
+                assert trace.ops == MIN_LINEAR_OPS
+                assert cpu.trace_stats.instructions > 0
+        assert states[0] == states[1]
+        assert states[0][1]["rax"] == 100 * MIN_LINEAR_OPS
 
     def test_short_linear_chain_aborts_once(self):
         asm = Assembler(base=BASE)
@@ -250,7 +250,7 @@ class TestGuardsAndFuel:
             asm = Assembler(base=BASE)
             asm.mov_imm32(Reg.RBX, iterations)
             asm.label("loop")
-            asm.push(Reg.RBX)
+            asm.raw(enc_push_r64(Reg.RBX))
             asm.dec(Reg.RBX)
             asm.jne("loop")
             asm.hlt()
@@ -495,7 +495,7 @@ class TestInvalidation:
             asm.mov_imm32(Reg.RBX, iterations)
             asm.label("loop")
             asm.inc(Reg.RAX)
-            asm.store_rsp32(0, Reg.RCX)  # store lands on this very page
+            asm.store_rsp64(0, Reg.RCX)  # store lands on this very page
             asm.dec(Reg.RBX)
             asm.jne("loop")
             asm.hlt()
@@ -513,7 +513,7 @@ class TestInvalidation:
             # no-op but still bumps the page generation every iteration.
             target = BASE + 0xF00
             cpu.regs.rsp = target
-            cpu.regs.write64(Reg.RCX, int.from_bytes(mem.read(target, 4), "little"))
+            cpu.regs.write64(Reg.RCX, int.from_bytes(mem.read(target, 8), "little"))
             cpu.run()
             states.append(final_state(cpu))
             if tracecache:

@@ -119,10 +119,6 @@ class TestEventDeliveryDuringExecution:
             xc.step(count=8)
             events.send(port)
             if events.evtchn_upcall_pending:
-                xc.libos.deliver_pending_events(
-                    [events._channels[port].handler]
-                    * len(events.pending_ports())
-                )
                 events.drain(via_hypercall=False)
         while not xc.cpu.halted:
             xc.cpu.step()

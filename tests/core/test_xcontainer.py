@@ -64,7 +64,7 @@ class TestDockerWrapper:
         clock = SimClock()
         wrapper = DockerWrapper(clock=clock)
         wrapper.spawn(DockerImage("redis"))
-        assert clock.now_ms == pytest.approx(3000.0, rel=0.01)
+        assert clock.now_ns == pytest.approx(3000.0e6, rel=0.01)
 
     def test_container_is_usable_after_spawn(self):
         wrapper = DockerWrapper(fast_toolstack=True)

@@ -19,20 +19,6 @@ def make_stack():
     return kernel, libos, cpu
 
 
-class TestModeDiscovery:
-    """§4.2: guest mode judged by the stack pointer's most significant bit."""
-
-    def test_user_half_is_user_mode(self):
-        _, _, cpu = make_stack()
-        cpu.regs.rsp = 0x00007FFF_FFFFF000
-        assert not XKernel.in_guest_kernel_mode(cpu)
-
-    def test_kernel_half_is_kernel_mode(self):
-        _, _, cpu = make_stack()
-        cpu.regs.rsp = 0xFFFF8800_00001000
-        assert XKernel.in_guest_kernel_mode(cpu)
-
-
 class TestTrapDispatch:
     def test_syscall_trap_forwards_to_libos(self):
         kernel, libos, cpu = make_stack()
@@ -61,24 +47,8 @@ class TestTrapDispatch:
         assert kernel.stats.ud_traps == 1
 
 
-class TestHypercalls:
-    def test_hypercall_counted_and_charged(self):
+class TestClock:
+    def test_abom_shares_the_kernel_clock(self):
         # A kernel built without a clock makes one and shares it with ABOM.
         for kernel in (make_stack()[0], XKernel(PagedMemory())):
             assert kernel.abom.clock is kernel.clock
-            before = kernel.clock.now_ns
-            kernel.hypercall("update_va_mapping")
-            kernel.hypercall("update_va_mapping")
-            assert kernel.stats.hypercalls["update_va_mapping"] == 2
-            assert kernel.clock.now_ns - before == pytest.approx(
-                2 * kernel.costs.hypercall_ns
-            )
-
-    def test_mmu_update_batches(self):
-        kernel, _, _ = make_stack()
-        before = kernel.clock.now_ns
-        kernel.mmu_update(entries=10)
-        assert kernel.stats.pt_updates == 10
-        assert kernel.clock.now_ns - before == pytest.approx(
-            10 * kernel.costs.pt_update_hypercall_ns
-        )

@@ -106,26 +106,6 @@ class TestForwardedEntry:
         assert libos.stats.total_syscalls == 2
 
 
-class TestUserModeMechanisms:
-    def test_user_mode_iret_restores_frame(self):
-        libos, cpu, _ = make_libos()
-        libos.user_mode_iret(cpu, {"rip": 0x1234, "rsp": 0x7700, "rax": 9})
-        assert cpu.regs.rip == 0x1234
-        assert cpu.regs.rsp == 0x7700
-        assert cpu.regs.rax == 9
-        assert libos.stats.user_mode_irets == 1
-
-    def test_deliver_pending_events_runs_handlers(self):
-        libos, _, _ = make_libos()
-        fired = []
-        count = libos.deliver_pending_events(
-            [lambda: fired.append(1), lambda: fired.append(2)]
-        )
-        assert count == 2
-        assert fired == [1, 2]
-        assert libos.stats.events_delivered == 2
-
-
 class TestCountingServices:
     def test_count_per_nr(self):
         services = CountingServices()

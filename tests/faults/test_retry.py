@@ -38,13 +38,6 @@ class TestBackoff:
         assert policy.backoff_ns(3) == 350.0  # capped
         assert policy.backoff_ns(4) == 350.0
 
-    def test_total_budget_sums_worst_case(self):
-        policy = RetryPolicy(
-            max_attempts=4, base_backoff_ns=100.0, multiplier=2.0,
-            max_backoff_ns=1e9,
-        )
-        assert policy.total_budget_ns() == 100.0 + 200.0 + 400.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)

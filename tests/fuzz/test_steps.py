@@ -24,8 +24,7 @@ class TestStepConstruction:
     def test_step_helper_builds_validated_step(self):
         one = step("spawn", memory_mb=128, lightvm=True)
         assert one.op == "spawn"
-        assert one["memory_mb"] == 128
-        assert one["lightvm"] is True
+        assert dict(one.args) == {"memory_mb": 128, "lightvm": True}
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown step op"):

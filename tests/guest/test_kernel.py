@@ -21,7 +21,7 @@ class TestProcessLifecycle:
         kernel, _ = make_kernel()
         proc = kernel.spawn("init")
         assert proc.pid == 1
-        assert kernel.nr_processes == 1
+        assert list(kernel._procs) == [1]
 
     def test_fork_clones(self):
         kernel, _ = make_kernel()
@@ -72,7 +72,7 @@ class TestProcessLifecycle:
         kernel.exit(child.pid, 7)
         assert child.state is ProcessState.ZOMBIE
         assert kernel.waitpid(parent.pid, child.pid) == 7
-        assert kernel.nr_processes == 1
+        assert list(kernel._procs) == [parent.pid]
 
     def test_wait_for_running_child_eagain(self):
         kernel, _ = make_kernel()

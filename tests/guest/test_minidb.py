@@ -67,14 +67,6 @@ class TestUpdateDelete:
     def test_update_all_rows(self, db):
         assert db.execute("UPDATE kv SET v = 0") == 2
 
-    def test_delete_with_where(self, db):
-        assert db.execute("DELETE FROM kv WHERE k = 'alpha'") == 1
-        assert db.execute("SELECT * FROM kv") == [("beta", 2)]
-
-    def test_delete_all(self, db):
-        assert db.execute("DELETE FROM kv") == 2
-        assert db.execute("SELECT * FROM kv") == []
-
 
 class TestEngineBehaviour:
     def test_unparseable_statement(self, db):

@@ -29,12 +29,6 @@ class TestModules:
         registry.load("ip_vs")
         registry.require("ip_vs")
 
-    def test_unload(self):
-        registry = ModuleRegistry()
-        registry.load("nf_nat")
-        registry.unload("nf_nat")
-        assert not registry.is_loaded("nf_nat")
-
     def test_soft_rdma_modules_known(self):
         """§5.7 mentions Soft-iwarp and Soft-ROCE explicitly."""
         assert "siw" in KNOWN_MODULES

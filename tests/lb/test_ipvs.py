@@ -93,7 +93,7 @@ class TestLiveChurn:
         assert victim.state is ServerState.REMOVED
         assert ipvs.stats.servers_removed == 1
         assert ipvs.stats.conns_failed == 0
-        assert victim not in ipvs.servers
+        assert victim not in ipvs._servers
 
     def test_drain_idle_server_removes_at_once(self):
         ipvs = make_ipvs("wlc")
@@ -116,7 +116,7 @@ class TestLiveChurn:
         failed = ipvs.kill_server(victim.host, victim.port)
         assert failed == 2  # wlc spread 6 conns over 3 servers
         assert victim.state is ServerState.DEAD
-        assert victim in ipvs.servers  # stays for accounting
+        assert victim in ipvs._servers  # stays for accounting
         assert ipvs.stats.backend_deaths == 1
         for _ in range(12):
             assert ipvs.open_connection() is not victim
@@ -140,7 +140,7 @@ class TestLiveChurn:
 
     def test_close_without_connection_raises(self):
         ipvs = make_ipvs()
-        server = ipvs.servers[0]
+        server = ipvs._servers[0]
         with pytest.raises(ValueError, match="no active connections"):
             ipvs.close_connection(server)
 
@@ -157,7 +157,7 @@ class TestConservation:
         conns = [ipvs.open_connection() for _ in range(16)]
         # A death, a drained removal, a forced removal, an addition.
         ipvs.kill_server("10.0.0.2", 80)
-        drained = next(s for s in ipvs.servers
+        drained = next(s for s in ipvs._servers
                        if s.host == "10.0.0.3")
         ipvs.remove_server("10.0.0.3", 80, drain=True)
         ipvs.remove_server("10.0.0.4", 80, drain=False)

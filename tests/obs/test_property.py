@@ -9,6 +9,8 @@ Property: ``Registry.value`` reads only the matching instruments, yet
 returns exactly the float that summing the ``collect()`` samples gives.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,7 +111,7 @@ class TestTelemetryNeutrality:
             costs = [driver.transmit_batch(train) for train in trains]
             if wired:
                 registry.snapshot()
-            return costs, xen.clock.now_ns, driver.stats.as_dict()
+            return costs, xen.clock.now_ns, dataclasses.asdict(driver.stats)
 
         assert run(True) == run(False)
 

@@ -41,13 +41,6 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Registry().gauge("g")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value() == 12
-
     def test_kind_conflict_raises(self):
         registry = Registry()
         registry.counter("x_total")

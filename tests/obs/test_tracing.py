@@ -69,16 +69,6 @@ class TestBounds:
         with pytest.raises(ValueError):
             TraceRecorder(SimClock(), capacity=0)
 
-    def test_clear_resets(self):
-        recorder = TraceRecorder(SimClock(), capacity=1)
-        with pytest.warns(RuntimeWarning, match="ring overflowed"):
-            for name in ("a", "b"):
-                with recorder.span(name):
-                    pass
-        recorder.clear()
-        assert recorder.spans() == [] and recorder.dropped == 0
-
-
 class TestTracerIntegration:
     """Instant events share the span store, its capacity and its drops."""
 

@@ -38,14 +38,4 @@ class TestSimClock:
     def test_unit_conversions(self):
         clock = SimClock(2_500_000_000.0)
         assert clock.now_us == pytest.approx(2_500_000.0)
-        assert clock.now_ms == pytest.approx(2_500.0)
         assert clock.now_s == pytest.approx(2.5)
-
-    def test_reset(self):
-        clock = SimClock(5.0)
-        clock.reset()
-        assert clock.now_ns == 0.0
-
-    def test_reset_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().reset(-3.0)

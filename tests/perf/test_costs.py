@@ -8,7 +8,6 @@ from repro.perf.costs import (
     EC2_C4_2XLARGE,
     GCE_CUSTOM,
     CostModel,
-    MachineSpec,
 )
 
 
@@ -69,7 +68,3 @@ class TestMachineSpec:
         assert GCE_CUSTOM.memory_gb == 16.0
         assert DELL_R720.memory_gb == 96.0
         assert DELL_R720.threads == 32
-
-    def test_cycle_ns(self):
-        spec = MachineSpec("m", 1, 1, 1.0, ghz=2.0)
-        assert spec.cycle_ns == 0.5

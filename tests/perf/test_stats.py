@@ -1,39 +1,5 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.perf.stats import RunStats, percentile, summarize
-
-
-class TestPercentile:
-    def test_single_value(self):
-        assert percentile([5.0], 50) == 5.0
-
-    def test_median_of_two(self):
-        assert percentile([1.0, 3.0], 50) == 2.0
-
-    def test_extremes(self):
-        values = [4.0, 1.0, 3.0, 2.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-
-    @given(st.lists(st.floats(0, 1e9), min_size=1, max_size=50),
-           st.floats(0, 100))
-    def test_percentile_within_bounds(self, values, pct):
-        result = percentile(values, pct)
-        assert min(values) <= result <= max(values)
-
-    @given(st.lists(st.floats(0, 1e9), min_size=2, max_size=50))
-    def test_monotone_in_pct(self, values):
-        assert percentile(values, 25) <= percentile(values, 75)
+from repro.perf.stats import RunStats, summarize
 
 
 class TestSummarize:
@@ -59,12 +25,7 @@ class TestSummarize:
 class TestRunStats:
     def test_accumulates(self):
         stats = RunStats("x")
-        stats.add(1.0)
-        stats.extend([2.0, 3.0])
-        assert len(stats) == 3
+        for value in (1.0, 2.0, 3.0):
+            stats.add(value)
+        assert stats.samples == [1.0, 2.0, 3.0]
         assert stats.mean == 2.0
-
-    def test_percentile_passthrough(self):
-        stats = RunStats()
-        stats.extend([1.0, 2.0, 3.0, 4.0])
-        assert stats.pct(100) == 4.0

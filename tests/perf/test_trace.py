@@ -43,26 +43,9 @@ class TestTracer:
         assert tracer.dropped == 2
         assert [e.name for e in tracer.events()] == ["e2", "e3"]
 
-    def test_clear_rearms_the_overflow_warning(self):
-        tracer = TraceRecorder(SimClock(), capacity=1)
-        tracer.emit("c", "e0")
-        with pytest.warns(RuntimeWarning):
-            tracer.emit("c", "e1")
-        tracer.clear()
-        tracer.emit("c", "e0")
-        with pytest.warns(RuntimeWarning):
-            tracer.emit("c", "e1")
-
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             TraceRecorder(SimClock(), capacity=0)
-
-    def test_clear(self):
-        tracer = TraceRecorder(SimClock())
-        tracer.emit("c", "e")
-        tracer.clear()
-        assert tracer.events() == []
-
 
 class TestContainerTracing:
     def test_syscall_lifecycle_visible(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.guest.ipvs import IpvsMode
-from repro.serve import get_scenario, run_serve, scenario_names
+from repro.serve import SCENARIOS, get_scenario, run_serve
 from repro.serve.scenario import (
     AutoscalerPolicy,
     ChaosOverlay,
@@ -72,7 +72,7 @@ class TestDeterminism:
         assert fleet["domains_spawned"] >= 4
 
     def test_catalog_is_wellformed(self):
-        assert scenario_names() == ["ci-small", "fleet-100", "fleet-nat"]
+        assert sorted(SCENARIOS) == ["ci-small", "fleet-100", "fleet-nat"]
         with pytest.raises(KeyError, match="unknown serve scenario"):
             get_scenario("nope")
 

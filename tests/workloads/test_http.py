@@ -135,7 +135,8 @@ class TestEndToEnd:
         server.publish("/p", b"page")
         client.get(("10.0.0.1", 80), "/p")
         assert len(server._open) == 1
-        client.close()
+        fd, _sock = client._conns[("10.0.0.1", 80)]
+        client.sockets.close(client.proc.pid, fd)
         assert server.handle_one() is True  # reaps the dead peer
         assert server._open == []
         assert server.handle_one() is False  # now truly idle

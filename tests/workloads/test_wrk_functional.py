@@ -10,19 +10,11 @@ class TestFunctionalWrk:
         report = wrk.run(20)
         assert report.requests == 20
         assert report.errors == 0
-        assert len(report.latency_us) == 20
+        assert len(report.latency_us.samples) == 20
         assert report.throughput_rps > 0
         # Throughput and duration must be consistent.
         assert report.throughput_rps == pytest.approx(
             20 / (report.duration_ms / 1e3)
-        )
-
-    def test_latency_percentiles_ordered(self):
-        report = FunctionalWrk().run(30)
-        assert (
-            report.latency_pct_us(50)
-            <= report.latency_pct_us(90)
-            <= report.latency_pct_us(99)
         )
 
     def test_device_cost_shows_up_functionally(self):
@@ -56,7 +48,6 @@ class TestValidationExperiment:
         from repro.experiments.validation import merged_vs_dedicated
 
         result = merged_vs_dedicated(pages=8)
-        assert result.value("saving", "us_per_page") > 0
-        assert result.value(
-            "dedicated&merged", "us_per_page"
-        ) < result.value("dedicated", "us_per_page")
+        us = {row.label: row.values["us_per_page"] for row in result.rows}
+        assert us["saving"] > 0
+        assert us["dedicated&merged"] < us["dedicated"]

@@ -7,6 +7,8 @@ to the legacy per-request path, and the hypothesis equivalence property
 between the batched and unbatched paths under arbitrary fault plans.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -279,15 +281,6 @@ class TestTransmitBatch:
         assert driver.stats.batches == 1
         assert engine.totals().fatal == 0
 
-    def test_stats_as_dict_surfaces_batch_counters(self):
-        driver, _ = make_net_driver()
-        driver.transmit_batch([10, 20])
-        d = driver.stats.as_dict()
-        assert d["batches"] == 1
-        assert d["kicks_saved"] == 1
-        assert d["avg_batch_size"] == pytest.approx(2.0)
-
-
 class TestBlockBatch:
     def make(self, faults=None):
         clock = SimClock()
@@ -401,10 +394,12 @@ class TestXContainerIoStats:
             ("eth0", net, wire.NET_RING_FIELDS),
             ("xvda", blk, wire.BLK_RING_FIELDS),
         ):
-            stats = driver.stats.as_dict()
-            assert set(fields) == set(stats)
+            # The wire table covers every counter, plus the batch mean.
+            counters = {f.name for f in dataclasses.fields(driver.stats)}
+            assert set(fields) == counters | {"avg_batch_size"}
             for field, metric in fields.items():
-                assert tel.value(metric, driver=name) == stats[field]
+                value = getattr(driver.stats, field)
+                assert tel.value(metric, driver=name) == value
 
     def test_one_snapshot_reports_every_surface(self):
         """The acceptance query: one structure, all the counters."""

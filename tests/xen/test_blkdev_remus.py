@@ -35,7 +35,7 @@ class TestBlockStore:
     def test_allocation_is_sparse(self):
         store = BlockStore(1 << 20)
         store.write_sector(12345, b"\x01" * SECTOR_SIZE)
-        assert store.allocated_sectors == 1
+        assert len(store._sectors) == 1
 
 
 class TestSplitBlockDriver:

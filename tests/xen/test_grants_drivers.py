@@ -66,7 +66,7 @@ class TestSplitNetDriver:
     def _driver(self, own_clock=False):
         xen = XenHypervisor(clock=SimClock())
         guest = xen.create_domain("guest")
-        backend = xen.domain(0)
+        backend = xen._domains[0]
         events = EventChannelTable(xen.costs, xen.clock)
         driver = SplitNetDriver(
             guest, backend, xen.grants, events, xen.costs,

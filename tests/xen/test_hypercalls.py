@@ -16,7 +16,6 @@ class TestHypercallTable:
         table.call("mmu_update")
         table.call("mmu_update", batch=3)
         assert table.counts["mmu_update"] == 4
-        assert table.total_calls == 4
 
     def test_unknown_call_rejected(self):
         with pytest.raises(UnknownHypercall):

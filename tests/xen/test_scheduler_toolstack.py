@@ -83,8 +83,8 @@ class TestToolstack:
         stack = Toolstack(xen)
         creation = stack.create("d1", kind=DomainKind.DOMU,
                                 full_vm_boot=False)
-        assert xen.clock.now_ms == pytest.approx(creation.total_ms)
-        assert xen.domain(creation.domain.domid).name == "d1"
+        assert xen.clock.now_ns / 1e6 == pytest.approx(creation.total_ms)
+        assert xen._domains[creation.domain.domid].name == "d1"
 
     def test_destroy(self):
         xen = XenHypervisor(clock=SimClock())
@@ -92,5 +92,4 @@ class TestToolstack:
         creation = stack.create("d1", full_vm_boot=False)
         stack.destroy(creation.domain.domid)
         with pytest.raises(KeyError):
-            xen.domain(creation.domain.domid)
-
+            xen._domains[creation.domain.domid]
