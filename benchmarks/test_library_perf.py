@@ -13,6 +13,7 @@ from repro.arch import Assembler, CPU, PagedMemory, Reg
 from repro.arch.memory import PageFlags
 from repro.core import CountingServices, XContainer
 from repro.core.abom import ABOM
+from repro.core.engine import ExecutionEngine
 from repro.guest.kernel import GuestKernel
 from repro.guest.socket import VirtualNetwork
 from repro.platforms import DockerPlatform
@@ -225,6 +226,49 @@ def test_trapped_syscall_rate(benchmark, record_rate, monkeypatch):
         "invalidations": 0,
     }
     record_rate(benchmark, total, trace=trace)
+
+
+def test_fleet_burst_rate(benchmark, record_rate):
+    """Fleet-worker wake bursts: one ``ExecutionEngine`` domain, warmed
+    past the trace threshold, then 200 bursts of 8 work units a round.
+    A unit is the worker's 24-iteration spin loop inside its unit loop,
+    and the trace cache compiles the spin loop as a nested loop."""
+    engine = ExecutionEngine()
+    dom = engine.spawn()
+    stats = dom.cpu.trace_stats
+    bursts, units = 200, 8
+    last = {}
+
+    def run():
+        before = stats.as_dict()
+        retired = dom.cpu.instructions_retired
+        for _ in range(bursts):
+            engine.post_work(dom.domid, units, engine.now_ns)
+            engine.run_until(engine.now_ns + engine.tick_ns)
+        after = stats.as_dict()
+        last["trace"] = {k: after[k] - before[k] for k in after}
+        last["retired"] = dom.cpu.instructions_retired - retired
+        return bursts * units
+
+    run()  # warm-up: every trace compiled
+    done = benchmark(run)
+    trace = last["trace"]
+    del trace["code_bytes"]
+    # Exact, per round: each burst is two trace entries (the wake path
+    # runs the first unit, the unit-loop trace the other seven) and one
+    # guard exit (the unit loop's end); only the two mailbox stores, the
+    # jmp and the hlt are interpreted (83,800 of 84,600 instructions).
+    assert done == 1600
+    assert last["retired"] == 84600
+    assert trace == {
+        "compiles": 0,
+        "aborts": 0,
+        "executions": 400,
+        "instructions": 83800,
+        "guard_exits": 200,
+        "invalidations": 0,
+    }
+    record_rate(benchmark, done, trace=trace)
 
 
 def test_functional_http_request_rate(benchmark, record_rate):

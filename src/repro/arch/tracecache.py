@@ -14,7 +14,10 @@ is stitched into a **superblock** and compiled — with Python's own
   touches are loaded/spilled);
 * the single-page ``read/write_u64`` fast paths are inlined;
 * chains that close back on their head become ``while True:`` loops, so
-  a 2000-iteration guest loop is one host-level call.
+  a 2000-iteration guest loop is one host-level call;
+* a conditional branch back to an earlier step of the chain becomes a
+  nested ``while True:`` (one level), so a loop inside a loop — the
+  fleet worker's spin loop inside its unit loop — runs in one call too.
 
 Correctness is guard-based, exactly like a hardware trace cache:
 
@@ -74,9 +77,9 @@ MIN_LINEAR_OPS = 8
 
 #: Recorded trace shape → (compiled code object, source length).  The
 #: key is everything the generated source depends on (head, steps, loop,
-#: retire total, whether instructions charge the clock), so identical
-#: programs (fresh CPUs over the same text, benchmark rounds, every
-#: ``CostModel``) share one ``_generate`` and ``compile()`` process-wide.
+#: whether instructions charge the clock), so identical programs (fresh
+#: CPUs over the same text, benchmark rounds, every ``CostModel``) share
+#: one ``_generate`` and ``compile()`` process-wide.
 _CODE_MEMO: dict[tuple, tuple[object, int]] = {}
 
 
@@ -266,10 +269,10 @@ class TraceCache:
         charge = bool(instruction_ns)
         try:
             steps, loop, retire_total, page_indexes = self._record(head, Trap)
-            key = (head, tuple(steps), loop, retire_total, charge)
+            key = (head, tuple(steps), loop, charge)
             memo = _CODE_MEMO.get(key)
             if memo is None:
-                source = _generate(head, steps, loop, retire_total, charge)
+                source = _generate(head, steps, loop, charge)
                 memo = (compile(source, f"<trace {head:#x}>", "exec"), len(source))
                 _CODE_MEMO[key] = memo
         except _Abort:
@@ -324,6 +327,11 @@ class TraceCache:
 
         * ``("op", addr, mnemonic, operands, next_rip)``
         * ``("cc", addr, mnemonic, taken_target, next_rip, predicted_taken)``
+        * ``("loop_to", addr, mnemonic, start, next_rip)`` — a branch back
+          to ``steps[start]``, an earlier ``op`` or ``cc`` step (not the
+          head): taken it repeats ``steps[start:]``, the inner loop, whose
+          body holds only ``op``, ``cc`` and ``jmp`` steps; not taken the
+          chain goes on at ``next_rip``
         * ``("jmp", addr, target)``
         * ``("stub_call", addr, slot, next_rip, target, resume)`` —
           ``call *slot`` whose target is a native stub, invoked inline
@@ -419,6 +427,13 @@ class TraceCache:
                 if mnemonic in _JCC_USES:
                     (rel,) = instr.operands
                     taken = (next_rip + rel) & MASK64
+                    start = None if taken == head else _inner_start(steps, taken)
+                    if start is not None:
+                        steps.append(("loop_to", addr, mnemonic, start, next_rip))
+                        retired += 1
+                        cur = next_rip
+                        transferred = True
+                        break
                     if taken == head:
                         predicted = True
                     elif next_rip == head:
@@ -448,9 +463,32 @@ class TraceCache:
         return steps, loop, retired, page_indexes
 
 
+def _inner_start(steps, target: int) -> Optional[int]:
+    """Index of the step at ``target`` that a branch can loop back to.
+
+    The body from there on must be plain ``op``, ``cc`` and ``jmp``
+    steps: no stub, ``syscall`` or exit, and no inner loop (one level).
+    """
+    for index in range(len(steps) - 1, -1, -1):
+        kind, addr = steps[index][0], steps[index][1]
+        if kind not in ("op", "cc", "jmp"):
+            return None
+        if addr == target:
+            return None if kind == "jmp" else index
+    return None
+
+
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
+def _retires(step) -> int:
+    """Instructions ``step`` retires on its way through."""
+    kind = step[0]
+    if kind == "stub_call":
+        return 2
+    return 0 if kind == "exit" else 1
+
+
 def _regs_of(step) -> tuple[int, ...]:
     kind = step[0]
     if kind == "op":
@@ -469,15 +507,15 @@ def _regs_of(step) -> tuple[int, ...]:
     return ()
 
 
-def _flag_live_after(steps, index, flag, loop) -> bool:
+def _flag_live_after(steps, index, flag, loop, inner_tops) -> bool:
     """Is the flag defined at ``steps[index]`` observable downstream?"""
     scan = list(range(index + 1, len(steps)))
     if loop:
         # The loop-top fuel/liveness exit spills every tracked flag.
         scan += [-1] + list(range(0, index + 1))
     for j in scan:
-        if j == -1:
-            return True
+        if j == -1 or j in inner_tops:
+            return True  # so does an inner loop's top
         step = steps[j]
         kind = step[0]
         if kind == "op":
@@ -490,7 +528,7 @@ def _flag_live_after(steps, index, flag, loop) -> bool:
             continue
         if kind == "jmp":
             continue  # pure transition, no flag effects
-        if kind == "cc":
+        if kind in ("cc", "loop_to"):
             return True  # reads flags and/or spills on its guard exit
         return True  # stubs, syscalls and exits all spill
     return True  # linear trace end spills
@@ -508,7 +546,7 @@ class _Emitter:
         self.lines.append("    " * indent + text)
 
 
-def _generate(head, steps, loop, retire_total, charge) -> str:
+def _generate(head, steps, loop, charge) -> str:
     """Generate the trace function source for ``steps``.
 
     ``charge`` says whether retired instructions advance the clock; the
@@ -533,11 +571,21 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
             flags.update(_FLAG_DEFS.get(step[2], ()))
             if step[2] in _MEM_OPS:
                 has_mem = True
-        elif kind == "cc":
+        elif kind in ("cc", "loop_to"):
             flags.update(_JCC_USES[step[2]])
         elif kind == "stub_call":
             has_mem = True
     regs = sorted(tracked)
+    # Each inner loop's top checks fuel, like the outer top: from a check
+    # on, fuel must cover every step up to the next check (the next inner
+    # top, the outer top or the trace end) — for an inner top that is one
+    # pass of its body and the steps after it.
+    inner_tops = sorted(s[3] for s in steps if s[0] == "loop_to")
+    bounds = [0] + inner_tops + [len(steps)]
+    need = [
+        sum(_retires(s) for s in steps[start:end])
+        for start, end in zip(bounds, bounds[1:])
+    ]
     flag_list = [f for f in ("zf", "sf", "cf") if f in flags]
     # Mid-trace invalidation is only possible when the trace itself can
     # trigger a write or run foreign Python (a stub or a trap handler).
@@ -620,17 +668,21 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
     for f in flag_list:
         em.emit(1, f"{f} = regs.{f}")
 
+    live_cond = " or not _L[0]" if live_check else ""
     if loop:
-        em.emit(1, f"_lim = fuel - {retire_total}")
+        em.emit(1, f"_lim = fuel - {need[0]}")
+    else:
+        em.emit(1, f"if fuel < {need[0]}:")
+        em.emit(2, "return 0")
+    for number in range(1, len(need)):
+        em.emit(1, f"_lim{number} = fuel - {need[number]}")
+    if loop:
         em.emit(1, "while True:")
         base = 2
-        top_cond = "n > _lim or not _L[0]" if live_check else "n > _lim"
-        em.emit(base, f"if {top_cond}:")
+        em.emit(base, f"if n > _lim{live_cond}:")
         for line in exit_lines(0, f"{head:#x}", guard=False):
             em.emit(base + 1, line)
     else:
-        em.emit(1, f"if fuel < {retire_total}:")
-        em.emit(2, "return 0")
         base = 1
 
     def emit_read(ind, dst, addr_var):
@@ -696,11 +748,25 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
 
     for index, step in enumerate(steps):
         kind = step[0]
+        if index in inner_tops:
+            # Inner loop: ``n`` is exact at its top (flushed here and at
+            # the back-edge), where fuel and liveness are checked.
+            if em.pending:
+                em.emit(base, f"n += {em.pending}")
+            em.pending = 0
+            em.synced = False
+            em.emit(base, "while True:")
+            base += 1
+            number = inner_tops.index(index) + 1
+            em.emit(base, f"if n > _lim{number}{live_cond}:")
+            for line in exit_lines(0, f"{step[1]:#x}", guard=False):
+                em.emit(base + 1, line)
         if kind == "op":
             _, addr, mnemonic, operands, next_rip = step
             defs = _FLAG_DEFS.get(mnemonic, ())
             emit_flags = {
-                f: _flag_live_after(steps, index, f, loop) for f in defs
+                f: _flag_live_after(steps, index, f, loop, inner_tops)
+                for f in defs
             }
             if mnemonic == "nop":
                 pass
@@ -819,6 +885,13 @@ def _generate(head, steps, loop, retire_total, charge) -> str:
             em.emit(base, f"if {exit_cond}:")
             for line in exit_lines(em.pending + 1, f"{exit_rip:#x}", guard=True):
                 em.emit(base + 1, line)
+            em.pending += 1
+        elif kind == "loop_to":
+            # Not taken leaves the inner loop with this pass unflushed.
+            em.emit(base, "if not zf:" if step[2] == "je_rel8" else "if zf:")
+            em.emit(base + 1, "break")
+            em.emit(base, f"n += {em.pending + 1}")
+            base -= 1
             em.pending += 1
         elif kind == "jmp":
             em.pending += 1

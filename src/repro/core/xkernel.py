@@ -19,7 +19,7 @@ the cost model prices those page-table hypercalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.cpu import CPU, Trap, TrapKind
 from repro.arch.memory import PagedMemory
@@ -35,8 +35,6 @@ _HLT_OPCODE = 0xF4
 @dataclass
 class XKernelStats:
     syscalls_trapped: int = 0
-    hypercalls: dict[str, int] = field(default_factory=dict)
-    pt_updates: int = 0
     ud_traps: int = 0
     #: vCPUs parked in the guest idle loop (``hlt``) / woken by an event.
     idle_parks: int = 0
@@ -44,7 +42,7 @@ class XKernelStats:
 
 
 class XKernel:
-    """The exokernel: trap handling, ABOM hosting, validated hypercalls."""
+    """The exokernel: trap handling and ABOM hosting."""
 
     def __init__(
         self,

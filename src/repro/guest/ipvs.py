@@ -23,6 +23,15 @@ Two schedulers are modelled (the ``ip_vs_rr`` / ``ip_vs_wlc`` modules):
   ``(active + 1) / weight`` (ties break in insertion order, so
   scheduling is deterministic).
 
+Linux's ``ip_vs_wlc`` scans every destination per pick; here the
+schedulers are indexed so a pick costs O(log n) host work, not O(n),
+and picks exactly what the scan would.  wlc keeps a heap of
+``(key, seq, version, server)`` entries: every change to a server bumps
+its ``version``, an entry whose version is stale is dropped when it
+reaches the top, and the heap is rebuilt once it holds more than twice
+the servers on the books.  wrr keeps its weighted expansion and
+rebuilds it only when the schedulable set changes.
+
 Real servers can be added and removed while connections are live:
 ``remove_server`` with draining stops routing *new* connections to the
 server immediately and finalizes the removal when its last active
@@ -36,7 +45,8 @@ deaths (see ``tests/lb/test_ipvs.py``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 
 from repro.guest.modules import ModuleRegistry
 from repro.perf.costs import CostModel
@@ -64,6 +74,10 @@ class RealServer:
     #: Connections currently assigned to this server.
     active_conns: int = 0
     state: ServerState = ServerState.ACTIVE
+    #: Insertion order on the director (the wlc tie-break).
+    seq: int = field(default=0, repr=False, compare=False)
+    #: Bumped on every change; older wlc heap entries are stale.
+    version: int = field(default=0, repr=False, compare=False)
 
     @property
     def schedulable(self) -> bool:
@@ -113,6 +127,11 @@ class IPVS:
         #: Finalized removals, kept so stats conservation can be audited.
         self._removed: list[RealServer] = []
         self._next = 0
+        self._seq = 0
+        #: wlc index: ``((active + 1) / weight, seq, version, server)``.
+        self._heap: list[tuple[float, int, int, RealServer]] = []
+        #: wrr: each schedulable server repeated ``weight`` times.
+        self._expanded: list[RealServer] = []
         self.stats = IpvsStats()
 
     # ------------------------------------------------------------------
@@ -121,9 +140,11 @@ class IPVS:
     def add_server(self, host: str, port: int, weight: int = 1) -> RealServer:
         if weight < 1:
             raise ValueError(f"weight must be >= 1: {weight}")
-        server = RealServer(host, port, weight)
+        server = RealServer(host, port, weight, seq=self._seq)
+        self._seq += 1
         self._servers.append(server)
         self.stats.servers_added += 1
+        self._churn(server)
         return server
 
     def _find(self, host: str, port: int) -> RealServer:
@@ -148,6 +169,7 @@ class IPVS:
             if server.state is not ServerState.DRAINING:
                 server.state = ServerState.DRAINING
                 self.stats.drains_started += 1
+                self._churn(server)
             return 0
         failed = server.active_conns
         if failed:
@@ -171,6 +193,7 @@ class IPVS:
         server.state = ServerState.DEAD
         self.stats.conns_failed += failed
         self.stats.backend_deaths += 1
+        self._churn(server)
         return failed
 
     def _finalize_removal(self, server: RealServer) -> None:
@@ -178,6 +201,36 @@ class IPVS:
         self._removed.append(server)
         server.state = ServerState.REMOVED
         self.stats.servers_removed += 1
+        self._churn(server)
+
+    # ------------------------------------------------------------------
+    # Scheduler indexes
+    # ------------------------------------------------------------------
+    def _churn(self, server: RealServer) -> None:
+        """The server set or a server's state changed."""
+        if self.scheduler == "wlc":
+            self._reindex(server)
+        else:
+            self._expanded = [
+                s for s in self._servers if s.schedulable
+                for _ in range(s.weight)
+            ]
+
+    def _reindex(self, server: RealServer) -> None:
+        """Re-key ``server`` in the wlc heap after any change to it."""
+        server.version += 1
+        heap = self._heap
+        if server.state is ServerState.ACTIVE:
+            heapq.heappush(heap, (
+                (server.active_conns + 1) / server.weight,
+                server.seq, server.version, server,
+            ))
+        if len(heap) > 2 * len(self._servers):
+            heap[:] = [
+                ((s.active_conns + 1) / s.weight, s.seq, s.version, s)
+                for s in self._servers if s.schedulable
+            ]
+            heapq.heapify(heap)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -186,20 +239,21 @@ class IPVS:
         """Pick the next real server (wrr or wlc, per ``scheduler``).
 
         Draining and dead servers never receive new work ("no requests
-        routed to a removed backend").
+        routed to a removed backend").  A wlc pick is the first live
+        heap entry; the smallest ``(key, seq)`` is the first minimum in
+        insertion order, exactly what a ``min`` scan would return.
         """
-        candidates = [s for s in self._servers if s.schedulable]
-        if not candidates:
-            raise RuntimeError("IPVS has no schedulable real servers")
         if self.scheduler == "wlc":
-            server = min(
-                candidates,
-                key=lambda s: (s.active_conns + 1) / s.weight,
-            )
+            heap = self._heap
+            while heap and heap[0][2] != heap[0][3].version:
+                heapq.heappop(heap)
+            if not heap:
+                raise RuntimeError("IPVS has no schedulable real servers")
+            server = heap[0][3]
         else:
-            expanded: list[RealServer] = []
-            for candidate in candidates:
-                expanded.extend([candidate] * candidate.weight)
+            expanded = self._expanded
+            if not expanded:
+                raise RuntimeError("IPVS has no schedulable real servers")
             server = expanded[self._next % len(expanded)]
             self._next += 1
         server.served += 1
@@ -214,6 +268,8 @@ class IPVS:
         server = self.schedule()
         server.active_conns += 1
         self.stats.conns_opened += 1
+        if self.scheduler == "wlc":
+            self._reindex(server)
         return server
 
     def close_connection(self, server: RealServer) -> None:
@@ -229,6 +285,8 @@ class IPVS:
             and server.active_conns == 0
         ):
             self._finalize_removal(server)
+        elif self.scheduler == "wlc":
+            self._reindex(server)
 
     # ------------------------------------------------------------------
     # Accounting

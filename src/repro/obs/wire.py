@@ -134,17 +134,6 @@ def wire_xkernel(registry: Registry, xkernel: Any) -> None:
         lambda: stats.ud_traps,
         help="#UD traps (jumps into patched call tails, section 4.4)",
     )
-    registry.bind(
-        "core_xkernel_pt_updates_total",
-        lambda: stats.pt_updates,
-        help="validated page-table update entries",
-    )
-    registry.bind_family(
-        "core_hypercalls_total",
-        "name",
-        lambda: stats.hypercalls,
-        help="validated hypercalls by name",
-    )
 
 
 def wire_abom(registry: Registry, abom: Any) -> None:

@@ -28,11 +28,6 @@ class DeterministicRng(random.Random):
         """Derive an independent child stream named ``label``."""
         return DeterministicRng(f"{self.root_seed}:{label}")
 
-    def expovariate(self, lambd: float) -> float:
-        if lambd <= 0:
-            raise ValueError(f"rate must be positive: {lambd}")
-        return super().expovariate(lambd)
-
     def gauss_factor(self, rel_std: float) -> float:
         """A multiplicative noise factor centred on 1.0, clamped positive."""
         return max(0.05, self.gauss(1.0, rel_std))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import log
 
 from repro.perf.rand import DeterministicRng
 
@@ -41,12 +42,6 @@ from repro.perf.rand import DeterministicRng
 SERVE_LATENCY_BUCKETS_NS: tuple[float, ...] = tuple(
     50_000.0 * (2.0 ** 0.25) ** k for k in range(67)
 )
-
-
-def heavy_tail_factor(rng: DeterministicRng, alpha: float) -> float:
-    """A mean-one Pareto multiplier (``alpha > 1``)."""
-    u = 1.0 - rng.random()  # (0, 1]: keeps u**(-1/alpha) finite
-    return (alpha - 1.0) / alpha * u ** (-1.0 / alpha)
 
 
 @dataclass(frozen=True)
@@ -138,10 +133,29 @@ def run_shard_interval(
     state: ShardState,
     snap: ShardSnapshot,
 ) -> tuple[ShardIntervalResult, ShardState]:
-    """One shard's interval — pure, deterministic, process-safe."""
+    """One shard's interval — pure, deterministic, process-safe.
+
+    Every draw goes straight to the stream's ``random`` and
+    ``getrandbits``, in the order and with the arithmetic of
+    ``expovariate(rate) * H`` and ``randint(0, n_conns - 1)`` (CPython's
+    ``getrandbits`` rejection sampling), so the bits and floats are
+    those of the library calls without their Python frames.
+    """
+    rate = cfg.rate_rps
+    if rate <= 0:
+        raise ValueError(f"rate must be positive: {rate}")
+    n_conns = len(state.conns)
+    if n_conns < 1:
+        raise ValueError("a shard needs at least one connection")
     rng = DeterministicRng(
         f"{cfg.seed}:shard{shard_idx}:iv{snap.interval_idx}"
     )
+    random = rng.random
+    getrandbits = rng.getrandbits
+    slot_bits = n_conns.bit_length()
+    # Pareto factor H = (alpha-1)/alpha * u^(-1/alpha), u in (0, 1].
+    tail_scale = (cfg.tail_alpha - 1.0) / cfg.tail_alpha
+    tail_exp = -1.0 / cfg.tail_alpha
     n_buckets = len(cfg.buckets)
     counts = [0] * n_buckets
     served: dict[int, int] = {}
@@ -149,7 +163,6 @@ def run_shard_interval(
     churned: set[int] = set()
     arrivals = completed = errors = retransmits = 0
     lat_sum = 0.0
-    n_conns = len(state.conns)
     director_share = float(cfg.shards)
     share_of = dict(snap.share_by_backend)
     default_share = float(cfg.shards)
@@ -160,15 +173,17 @@ def run_shard_interval(
 
     t = snap.t0_ns
     while True:
-        gap = rng.expovariate(cfg.rate_rps) * heavy_tail_factor(
-            rng, cfg.tail_alpha
+        gap = -log(1.0 - random()) / rate * (
+            tail_scale * (1.0 - random()) ** tail_exp
         )
         t += gap * 1e9
         if t >= snap.t1_ns:
             break
         arrivals += 1
-        slot = rng.randint(0, n_conns - 1)
-        klass = bisect_left(cfg.mix_cum_weights, rng.random())
+        slot = getrandbits(slot_bits)
+        while slot >= n_conns:
+            slot = getrandbits(slot_bits)
+        klass = bisect_left(cfg.mix_cum_weights, random())
         if klass >= len(cfg.mix_work):  # float-edge guard
             klass = len(cfg.mix_work) - 1
         backend = state.conns[slot]
@@ -178,7 +193,7 @@ def run_shard_interval(
             errors += 1
             continue
         penalty = 0.0
-        if snap.loss_p and rng.random() < snap.loss_p:
+        if snap.loss_p and random() < snap.loss_p:
             # One bounded retransmit always lands (RetryPolicy spirit).
             retransmits += 1
             penalty = cfg.retry_penalty_ns
@@ -205,7 +220,7 @@ def run_shard_interval(
             counts[index] += 1
         served[backend] = served.get(backend, 0) + 1
         busy[backend] = busy.get(backend, 0.0) + service
-        if slot not in churned and rng.random() < cfg.churn_p:
+        if slot not in churned and random() < cfg.churn_p:
             churned.add(slot)
 
     # Prune drained backlogs; sum the residue in sorted order so float

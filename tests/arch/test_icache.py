@@ -184,22 +184,57 @@ class TestSelfModifyingCode:
 # ----------------------------------------------------------------------
 _REGS = [Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.RDI]
 
-_op = st.one_of(
-    st.tuples(st.just("mov_imm32"), st.sampled_from(_REGS), st.integers(0, 2**31 - 1)),
-    st.tuples(st.just("mov_imm64_low"), st.sampled_from(_REGS), st.integers(-(2**31), 2**31 - 1)),
-    st.tuples(st.just("mov_reg"), st.sampled_from(_REGS), st.sampled_from(_REGS)),
-    st.tuples(st.just("add"), st.sampled_from(_REGS), st.integers(-128, 127)),
-    st.tuples(st.just("sub"), st.sampled_from(_REGS), st.integers(-128, 127)),
-    st.tuples(st.just("cmp"), st.sampled_from(_REGS), st.integers(-128, 127)),
-    st.tuples(st.just("inc"), st.sampled_from(_REGS)),
-    st.tuples(st.just("dec"), st.sampled_from(_REGS)),
-    st.tuples(st.just("xor"), st.sampled_from(_REGS), st.sampled_from(_REGS)),
-    st.tuples(st.just("push"), st.sampled_from(_REGS)),
-    st.tuples(st.just("pop"), st.sampled_from(_REGS)),
-    st.tuples(st.just("nop")),
-    # Forward skip over the next instruction: exercises block exits and
-    # re-entry in the middle of decoded regions.
-    st.tuples(st.just("skip_next")),
+def _ops(regs):
+    return st.one_of(
+        st.tuples(st.just("mov_imm32"), st.sampled_from(regs), st.integers(0, 2**31 - 1)),
+        st.tuples(st.just("mov_imm64_low"), st.sampled_from(regs), st.integers(-(2**31), 2**31 - 1)),
+        st.tuples(st.just("mov_reg"), st.sampled_from(regs), st.sampled_from(regs)),
+        st.tuples(st.just("add"), st.sampled_from(regs), st.integers(-128, 127)),
+        st.tuples(st.just("sub"), st.sampled_from(regs), st.integers(-128, 127)),
+        st.tuples(st.just("cmp"), st.sampled_from(regs), st.integers(-128, 127)),
+        st.tuples(st.just("inc"), st.sampled_from(regs)),
+        st.tuples(st.just("dec"), st.sampled_from(regs)),
+        st.tuples(st.just("xor"), st.sampled_from(regs), st.sampled_from(regs)),
+        st.tuples(st.just("push"), st.sampled_from(regs)),
+        st.tuples(st.just("pop"), st.sampled_from(regs)),
+        st.tuples(st.just("nop")),
+        # Forward skip over the next instruction: exercises block exits
+        # and re-entry in the middle of decoded regions.
+        st.tuples(st.just("skip_next")),
+    )
+
+
+_op = _ops(_REGS)
+
+#: Countdown loops: ``("loop", count, body)``, at most two deep.  The
+#: outer counter is rsi, the inner rdi, and loop bodies never name them.
+#: Bodies are short enough for the ``jne`` back-edge's rel8.
+_LOOP_COUNTERS = (Reg.RSI, Reg.RDI)
+_body_op = _ops([Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX])
+_inner_loop = st.tuples(
+    st.just("loop"), st.integers(1, 6), st.lists(_body_op, max_size=3)
+)
+_nested_loop = st.builds(
+    lambda count, before, inner, after: ("loop", count, before + [inner] + after),
+    st.integers(1, 6),
+    st.lists(_body_op, max_size=1),
+    _inner_loop,
+    st.lists(_body_op, max_size=1),
+)
+
+
+def _join(runs, tail):
+    program = []
+    for run, loop in runs:
+        program += run + [loop]
+    return program + tail
+
+
+#: Straight-line runs, each but the last followed by a nested loop.
+_program = st.builds(
+    _join,
+    st.lists(st.tuples(st.lists(_op, max_size=8), _nested_loop), max_size=3),
+    st.lists(_op, min_size=1, max_size=30),
 )
 
 
@@ -214,10 +249,26 @@ _ENCODERS = {
 
 def _assemble(ops):
     asm = Assembler(base=BASE)
+    _emit(asm, ops, depth=0)
+    asm.hlt()
+    return asm.build()
+
+
+def _emit(asm, ops, depth):
+    """Emit ``ops`` with the stack balanced at the end of the list."""
     pushes = 0
     for op in ops:
         name = op[0]
-        if name == "push":
+        if name == "loop":
+            _, count, body = op
+            counter = _LOOP_COUNTERS[depth]
+            asm.mov_imm32(counter, count)
+            label = f"loop{asm.here:#x}"
+            asm.label(label)
+            _emit(asm, body, depth + 1)
+            asm.dec(counter)
+            asm.jne(label)
+        elif name == "push":
             asm.raw(enc_push_r64(op[1]))
             pushes += 1
         elif name == "pop":
@@ -236,8 +287,6 @@ def _assemble(ops):
             getattr(asm, name)(*op[1:])
     for _ in range(pushes):
         asm.raw(enc_pop_r64(Reg.RAX))
-    asm.hlt()
-    return asm.build()
 
 
 class TestCachedUncachedEquivalence:
@@ -277,7 +326,7 @@ class TestTracedEquivalence:
     indistinguishable except for speed (run-to-halt comparison; traces
     retire whole superblocks per dispatch, so lock-step is meaningless)."""
 
-    @given(st.lists(_op, min_size=1, max_size=60))
+    @given(_program)
     @settings(max_examples=40, deadline=None)
     def test_three_modes_agree_on_random_programs(self, ops):
         binary = _assemble(ops)

@@ -9,7 +9,7 @@ architecturally exact RIP.  See ``docs/interpreter_performance.md``.
 import pytest
 
 from repro.arch import Assembler, CPU, PagedMemory, Reg
-from repro.arch.encoding import enc_call_abs_ind, enc_push_r64
+from repro.arch.encoding import enc_call_abs_ind, enc_pop_r64, enc_push_r64
 from repro.arch.memory import PageFault, PageFlags
 from repro.arch.tracecache import HOT_THRESHOLD, MIN_LINEAR_OPS
 
@@ -519,3 +519,224 @@ class TestInvalidation:
             if tracecache:
                 assert cpu.trace_stats.invalidations >= 1
         assert states[0] == states[1]
+
+
+def nested_loops(outer, inner, prefix=(), suffix=(), later=False):
+    """An outer countdown (``rbx``) around an inner one (``rcx``).
+
+    ``prefix`` and ``suffix`` are callables that emit outer-body code
+    before and after the inner loop; ``later`` puts the inner loop in a
+    block of its own, reached by a ``jmp`` from the head block.
+    """
+    asm = Assembler(base=BASE)
+    asm.mov_imm32(Reg.RBX, outer)
+    asm.label("outer")
+    if later:
+        asm.inc(Reg.RSI)
+        asm.jmp("body")
+        asm.label("body")
+    asm.mov_imm32(Reg.RCX, inner)
+    for emit in prefix:
+        emit(asm)
+    asm.label("spin")
+    asm.inc(Reg.RDX)
+    asm.dec(Reg.RCX)
+    asm.jne("spin")
+    for emit in suffix:
+        emit(asm)
+    asm.dec(Reg.RBX)
+    asm.jne("outer")
+    asm.hlt()
+    return asm.build()
+
+
+def fill_and_drain(outer, inner):
+    """Two inner loops per outer pass: ``fill`` pushes a sentinel 1 and
+    ``inner`` zeros (a ``jne`` back-edge); ``drain`` pops while it reads
+    zero (a ``je`` back-edge), so it leaves on the sentinel."""
+    asm = Assembler(base=BASE)
+    asm.mov_imm32(Reg.RBX, outer)
+    asm.label("outer")
+    asm.mov_imm32(Reg.RAX, 1)
+    asm.raw(enc_push_r64(Reg.RAX))
+    asm.xor(Reg.RAX, Reg.RAX)
+    asm.mov_imm32(Reg.RCX, inner)
+    asm.label("fill")
+    asm.raw(enc_push_r64(Reg.RAX))
+    asm.dec(Reg.RCX)
+    asm.jne("fill")
+    asm.label("drain")
+    asm.inc(Reg.RDX)
+    asm.raw(enc_pop_r64(Reg.RSI))
+    asm.cmp(Reg.RSI, 0)
+    asm.je("drain")
+    asm.dec(Reg.RBX)
+    asm.jne("outer")
+    asm.hlt()
+    return asm.build()
+
+
+class TestInnerLoops:
+    """A branch back to an earlier step of the chain compiles into a
+    nested loop.  The trace cache on and off must leave the same
+    registers, flags, RIP, retired count and clock, and the inner loop
+    must run inside the trace."""
+
+    @pytest.fixture(autouse=True)
+    def recorded(self, monkeypatch):
+        from repro.arch import tracecache as m
+
+        monkeypatch.setattr(m, "_CODE_MEMO", {})
+        self.steps = {}
+        generate = m._generate
+
+        def capture(head, steps, *rest):
+            self.steps[head] = list(steps)
+            return generate(head, steps, *rest)
+
+        monkeypatch.setattr(m, "_generate", capture)
+
+    def run_both(self, binary, budget=None, writable_text=False, rsp=None):
+        states = []
+        for tracecache in (True, False):
+            mem = PagedMemory()
+            binary.load(mem, writable_text=writable_text)
+            mem.map_region(STACK_BASE, 0x1000, PageFlags.USER | PageFlags.WRITABLE)
+            # 0.5 ns sums exactly in any order, so clocks compare exactly.
+            cpu = CPU(mem, instruction_ns=0.5, tracecache=tracecache)
+            cpu.regs.rip = binary.entry
+            cpu.regs.rsp = rsp if rsp is not None else STACK_BASE + 0x800
+            seen = []
+
+            def handler(cpu, trap, seen=seen):
+                # Record what the handler sees, charge it, resume after.
+                seen.append((cpu.regs.snapshot(), cpu.instructions_retired,
+                             cpu.clock.now_ns))
+                cpu.clock.advance(7.0)
+                cpu.regs.rip = trap.rip + 2
+
+            cpu.trap_handler = handler
+            if budget is None:
+                cpu.run()
+            else:
+                with pytest.raises(RuntimeError, match="budget"):
+                    cpu.run(max_instructions=budget)
+                assert cpu.instructions_retired == budget
+            states.append((final_state(cpu), cpu.clock.now_ns, seen))
+            if tracecache:
+                traced = cpu
+        assert states[0] == states[1]
+        return traced
+
+    def inner_loops(self, head):
+        steps = self.steps[head]
+        return [(s[3], i) for i, s in enumerate(steps) if s[0] == "loop_to"]
+
+    def test_jne_back_edge(self):
+        binary = nested_loops(200, 24)
+        cpu = self.run_both(binary)
+        assert cpu.regs.read64(Reg.RDX) == 200 * 24
+        assert self.inner_loops(binary.symbols["outer"])
+        stats = cpu.trace_stats
+        # Until the outer head turns hot, the spin loop's own trace runs
+        # once per outer pass and leaves through its branch guard; after
+        # that, the rest of the nest is one more entry and guard exit.
+        assert stats.executions <= HOT_THRESHOLD + 1
+        assert stats.guard_exits <= HOT_THRESHOLD + 1
+        assert stats.instructions > 0.9 * cpu.instructions_retired
+
+    def test_je_back_edge(self):
+        """A ``je`` back-edge leaves on ZF clear; here it is the second
+        of two inner loops in one outer pass."""
+        binary = fill_and_drain(300, 6)
+        cpu = self.run_both(binary)
+        assert cpu.regs.read64(Reg.RDX) == 300 * 7
+        steps = self.steps[binary.symbols["outer"]]
+        loops = self.inner_loops(binary.symbols["outer"])
+        assert [steps[start][1] for start, _ in loops] == [
+            binary.symbols["fill"], binary.symbols["drain"],
+        ]
+        assert [steps[end][2] for _, end in loops] == ["jne_rel8", "je_rel8"]
+        # Warm-up runs each inner loop's own trace once per outer pass;
+        # then the whole nest is one entry.
+        assert cpu.trace_stats.guard_exits <= 2 * HOT_THRESHOLD + 1
+        assert cpu.trace_stats.instructions > 0.9 * cpu.instructions_retired
+
+    def test_inner_loop_in_the_head_block(self):
+        binary = nested_loops(120, 8)
+        self.run_both(binary)
+        steps = self.steps[binary.symbols["outer"]]
+        (start, _), = self.inner_loops(binary.symbols["outer"])
+        # mov ecx, then the loop: no block transfer before it.
+        assert start == 1
+        assert all(s[0] == "op" for s in steps[:start])
+
+    def test_inner_loop_in_a_later_block(self):
+        binary = nested_loops(120, 8, later=True)
+        cpu = self.run_both(binary)
+        assert cpu.regs.read64(Reg.RSI) == 120
+        steps = self.steps[binary.symbols["outer"]]
+        (start, _), = self.inner_loops(binary.symbols["outer"])
+        assert any(s[0] == "jmp" for s in steps[:start])
+
+    def test_outer_body_stores_to_the_stack(self):
+        binary = nested_loops(
+            150, 8,
+            prefix=[lambda asm: asm.store_rsp64(8, Reg.RBX)],
+            suffix=[lambda asm: asm.store_rsp64(16, Reg.RDX)],
+        )
+        cpu = self.run_both(binary)
+        assert cpu.mem.read_u64(cpu.regs.rsp + 16) == 150 * 8
+        assert self.inner_loops(binary.symbols["outer"])
+        assert cpu.trace_stats.invalidations == 0
+
+    def test_outer_body_stores_to_its_own_text(self):
+        """Each outer pass stores the bytes already there to padding on
+        the trace's own text page: the trace leaves through its
+        liveness guard and is re-installed, with no divergence."""
+        target = BASE + 0xF00
+        binary = nested_loops(
+            120, 8, suffix=[lambda asm: asm.store_rsp64(0, Reg.RDI)]
+        )
+        mem = PagedMemory()
+        binary.load(mem)
+        # rdi is never written: it stores the zero padding's own bytes.
+        assert mem.read(target, 8) == bytes(8)
+        cpu = self.run_both(binary, writable_text=True, rsp=target)
+        assert cpu.regs.read64(Reg.RDX) == 120 * 8
+        assert cpu.trace_stats.invalidations >= 1
+
+    def test_outer_body_makes_syscalls(self):
+        """A ``syscall`` before and after the inner loop: the handler
+        sees the count and clock the interpreter shows it, in and out
+        of the trace."""
+        binary = nested_loops(
+            150, 6,
+            prefix=[lambda asm: asm.raw_syscall()],
+            suffix=[lambda asm: asm.raw_syscall()],
+        )
+        cpu = self.run_both(binary)
+        assert cpu.regs.read64(Reg.RDX) == 150 * 6
+        assert self.inner_loops(binary.symbols["outer"])
+        # Warm-up exits only: both syscalls resume inside the trace.
+        assert cpu.trace_stats.guard_exits <= HOT_THRESHOLD + 1
+        # The inner top's exit after a synced syscall still flushes the
+        # passes run since.
+        for budget in range(2000, 2024):
+            self.run_both(binary, budget=budget)
+
+    def test_budget_runs_out_inside_the_inner_loop(self):
+        """run(max_instructions=N) raises at exactly N wherever N falls:
+        inside the inner loop, at its top, or between the loops.  The
+        prefix ``xor`` sets ZF and the inner ``inc`` redefines it before
+        any guard, so only the inner top's exit observes the ``xor``'s
+        flags."""
+        binary = nested_loops(
+            400, 5,
+            prefix=[lambda asm: asm.xor(Reg.RAX, Reg.RAX)],
+            suffix=[lambda asm: asm.cmp(Reg.RCX, 1)],
+        )
+        for budget in range(3000, 3032):
+            cpu = self.run_both(binary, budget=budget)
+            assert cpu.trace_stats.instructions > 0
+        assert self.inner_loops(binary.symbols["outer"])

@@ -1,6 +1,8 @@
 """IPVS scheduler, live server churn, and accounting conservation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.guest.ipvs import IPVS, IpvsMode, ServerState
 from repro.guest.modules import ModuleLoadError, ModuleRegistry
@@ -195,3 +197,75 @@ class TestModes:
         registry = ModuleRegistry()  # nothing loaded
         with pytest.raises(ModuleLoadError):
             IPVS(registry, IpvsMode.NAT)
+
+
+# ----------------------------------------------------------------------
+# Property: the indexed schedulers pick what a full scan picks
+# ----------------------------------------------------------------------
+def reference_pick(ipvs):
+    """What ``schedule`` picks, recomputed from scratch: for wlc the
+    first minimum of ``(active + 1) / weight`` over the schedulable
+    servers in ``_servers`` order, for wrr the expansion rebuilt now."""
+    candidates = [s for s in ipvs._servers if s.state is ServerState.ACTIVE]
+    if not candidates:
+        return None
+    if ipvs.scheduler == "wlc":
+        return min(candidates, key=lambda s: (s.active_conns + 1) / s.weight)
+    expanded = [s for s in candidates for _ in range(s.weight)]
+    return expanded[ipvs._next % len(expanded)]
+
+
+_pick = st.integers(0, 1 << 16)
+_churn = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 4)),
+        st.tuples(st.just("open")),
+        st.tuples(st.just("schedule")),
+        st.tuples(st.just("close"), _pick),
+        st.tuples(st.just("remove"), _pick, st.booleans()),
+        st.tuples(st.just("kill"), _pick),
+    ),
+    max_size=120,
+)
+
+
+class TestIndexedSchedulers:
+    @given(st.sampled_from(["wlc", "wrr"]), st.integers(0, 4), _churn)
+    @settings(max_examples=150, deadline=None)
+    def test_index_picks_what_the_scan_picks(self, scheduler, backends, ops):
+        ipvs = make_ipvs(scheduler, backends=backends)
+        added = backends
+        # One entry per open connection (a server may repeat).
+        conns = []
+        for op in ops:
+            kind = op[0]
+            if kind == "add":
+                ipvs.add_server(f"10.1.0.{added}", 80, weight=op[1])
+                added += 1
+            elif kind in ("open", "schedule"):
+                expected = reference_pick(ipvs)
+                if expected is None:
+                    with pytest.raises(RuntimeError, match="no schedulable"):
+                        ipvs.schedule()
+                elif kind == "open":
+                    assert ipvs.open_connection() is expected
+                    conns.append(expected)
+                else:
+                    assert ipvs.schedule() is expected
+            elif kind == "close" and conns:
+                ipvs.close_connection(conns.pop(op[1] % len(conns)))
+            elif kind in ("remove", "kill") and ipvs._servers:
+                server = ipvs._servers[op[1] % len(ipvs._servers)]
+                if kind == "kill":
+                    ipvs.kill_server(server.host, server.port)
+                elif server.state is ServerState.DEAD:
+                    with pytest.raises(ValueError, match="dead"):
+                        ipvs.remove_server(server.host, server.port)
+                else:
+                    ipvs.remove_server(server.host, server.port, drain=op[2])
+                if server.active_conns == 0:
+                    # Killed or forcibly removed: its connections failed.
+                    conns = [c for c in conns if c is not server]
+            assert ipvs.conservation_ok()
+            assert len(ipvs._heap) <= 2 * len(ipvs._servers)
+        assert ipvs.active_connections() == len(conns)

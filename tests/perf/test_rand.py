@@ -28,12 +28,6 @@ class TestDeterministicRng:
         for _ in range(200):
             assert rng.gauss_factor(2.0) >= 0.05
 
-    def test_expovariate_rejects_bad_rate(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            DeterministicRng(1).expovariate(0.0)
-
     def test_choices_weighted(self):
         rng = DeterministicRng(3)
         picks = rng.choices(["a", "b"], weights=[1.0, 0.0], k=10)
