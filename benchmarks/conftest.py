@@ -58,6 +58,7 @@ SEED_BASELINE = {
     "test_serve_fleet_request_rate": None,
     "test_fleet_scale_1000": None,
     "test_trapped_syscall_rate": None,
+    "test_converted_syscall_rate": None,
     "test_fleet_burst_rate": None,
 }
 

@@ -1,15 +1,23 @@
 """CPU interpreter for the x86-64 subset.
 
 The interpreter executes real machine code from :class:`PagedMemory` and
-delivers traps (``syscall``, #UD, page faults) to a pluggable trap
-handler — in this reproduction the trap handler is the platform's kernel
-model (host Linux, stock Xen PV, the X-Kernel, the gVisor Sentry, ...).
+hands ``syscall`` instructions and exceptions (#UD, page faults) to the
+platform's kernel model (host Linux, stock Xen PV, the X-Kernel, the
+gVisor Sentry, ...).  As on x86-64, the two arrive by different doors:
 
-Two hooks make the LibOS integration possible without writing the whole
-LibOS in machine code:
+* **syscall entry** — ``cpu.syscall_entry(cpu, rip)``, the analogue of
+  the ``IA32_LSTAR`` MSR: every ``syscall`` jumps straight to it, with
+  ``rip`` the address of the instruction.  It may mutate CPU state and
+  resumes the program by setting RIP.  With no entry installed a
+  ``syscall`` raises ``Trap(TrapKind.SYSCALL)``;
+* **trap handler** — the analogue of the IDT: invoked with a
+  :class:`Trap` for a #UD or a page fault; it may mutate CPU state (fix
+  RIP after a #UD in a patched call tail, ...).  With none installed the
+  trap is raised.
 
-* **trap handler** — invoked with a :class:`Trap`; it may mutate CPU state
-  (deliver the syscall, fix RIP after a #UD in a patched call tail, ...);
+One more hook makes the LibOS integration possible without writing the
+whole LibOS in machine code:
+
 * **native stubs** — addresses that, when reached by RIP, invoke a Python
   callable instead of fetching code.  The X-LibOS maps its syscall-entry
   stubs (the targets of the vsyscall entry table) this way.  A stub is
@@ -63,8 +71,8 @@ class TrapKind(enum.Enum):
 class Trap(Exception):
     """An architectural trap delivered to the platform's kernel model.
 
-    Every executed ``syscall`` builds one, so the message is formatted
-    only when the trap is printed.
+    Every syscall the X-Kernel forwards builds one, so the message is
+    formatted only when the trap is printed.
     """
 
     def __init__(self, kind: TrapKind, rip: int, detail: str = "") -> None:
@@ -81,6 +89,8 @@ class CpuHalted(Exception):
 
 
 TrapHandler = Callable[["CPU", Trap], None]
+#: ``entry(cpu, rip)`` — where a ``syscall`` at ``rip`` goes (LSTAR).
+SyscallEntry = Callable[["CPU", int], None]
 NativeStub = Callable[["CPU"], None]
 
 
@@ -101,18 +111,20 @@ def _h_hlt(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
 
 
 def deliver_syscall(cpu: "CPU", rip: int) -> None:
-    """Deliver the ``syscall`` at ``rip`` to ``cpu``'s trap handler.
+    """Deliver the ``syscall`` at ``rip`` to ``cpu.syscall_entry``.
 
     The one owner of syscall delivery: the interpreter's ``syscall``
     handler and compiled traces (:mod:`repro.arch.tracecache`) both call
     it, with registers, RIP, the retired count and the clock already in
-    their interpreter-visible state.  The caller retires the instruction.
+    their interpreter-visible state.  A trace calls an installed entry
+    directly and comes here only when there is none, which saves a frame
+    per syscall.  The caller retires the instruction.  With no entry
+    installed, the ``syscall`` raises ``Trap(TrapKind.SYSCALL)``.
     """
-    trap = Trap(TrapKind.SYSCALL, rip)
-    handler = cpu.trap_handler
-    if handler is None:
-        raise trap
-    handler(cpu, trap)
+    entry = cpu.syscall_entry
+    if entry is None:
+        raise Trap(TrapKind.SYSCALL, rip)
+    entry(cpu, rip)
 
 
 def _h_syscall(cpu: "CPU", instr: Instruction, next_rip: int) -> None:
@@ -329,7 +341,10 @@ class CPU:
         self.regs = RegisterFile()
         self.clock = clock if clock is not None else SimClock()
         self.instruction_ns = instruction_ns
+        #: The IDT: #UD and page faults (``None`` raises the trap).
         self.trap_handler: Optional[TrapHandler] = None
+        #: LSTAR: every ``syscall`` (``None`` raises ``Trap(SYSCALL)``).
+        self.syscall_entry: Optional[SyscallEntry] = None
         self.native_stubs: dict[int, NativeStub] = {}
         self.instructions_retired = 0
         self.halted = False

@@ -22,12 +22,20 @@ tier of cached decoded text coherent.
 from __future__ import annotations
 
 from enum import IntFlag
+from struct import Struct
 from typing import Callable
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 _OFFSET_MASK = PAGE_SIZE - 1
 _MASK64 = (1 << 64) - 1
+
+#: A little-endian 64-bit word.  ``unpack_from``/``pack_into`` work on a
+#: page's bytearray in place, with no slice and no ``bytes`` object; the
+#: trace cache (``repro.arch.tracecache``) inlines the same two calls.
+U64 = Struct("<Q")
+_unpack_u64 = U64.unpack_from
+_pack_u64 = U64.pack_into
 
 #: ``observer(addr, size)`` — called after bytes in ``[addr, addr+size)``
 #: change (one call per page chunk of a spanning write).
@@ -230,33 +238,32 @@ class PagedMemory:
             cursor += chunk
             remaining = remaining[chunk:]
 
-    def _write_single(self, addr: int, page: _Page, data: bytes) -> None:
-        """Store ``data`` entirely inside ``page`` (permissions pre-checked)."""
-        offset = addr & _OFFSET_MASK
-        page.data[offset : offset + len(data)] = data
-        page.generation += 1
-        if not page.flags & _WRITABLE:
-            page.flags |= _DIRTY
-        if self._write_observers:
-            self._notify(addr, len(data))
-
     def read_u64(self, addr: int) -> int:
         page = self._pages.get(addr >> PAGE_SHIFT)
         offset = addr & _OFFSET_MASK
         if page is not None and offset <= PAGE_SIZE - 8:
-            return int.from_bytes(page.data[offset : offset + 8], "little")
+            return _unpack_u64(page.data, offset)[0]
         return int.from_bytes(self.read(addr, 8), "little")
 
     def write_u64(self, addr: int, value: int) -> None:
+        """Store a 64-bit word: the effects of :meth:`write` of its eight
+        little-endian bytes (permission checks, generation bump, DIRTY
+        bit, observers), packed in place when it sits inside one page."""
         page = self._pages.get(addr >> PAGE_SHIFT)
-        if (
-            page is not None
-            and (addr & _OFFSET_MASK) <= PAGE_SIZE - 8
-            and (page.flags & _WRITABLE or not self.wp_enabled)
-        ):
-            self._write_single(addr, page, (value & _MASK64).to_bytes(8, "little"))
+        offset = addr & _OFFSET_MASK
+        if page is None or offset > PAGE_SIZE - 8:
+            self.write(addr, (value & _MASK64).to_bytes(8, "little"))
             return
-        self.write(addr, (value & _MASK64).to_bytes(8, "little"))
+        flags = page.flags
+        if not flags & _WRITABLE:
+            if self.wp_enabled:
+                raise PageFault(addr, "write to read-only page")
+            # Supervisor write with WP disabled: the DIRTY bit (§4.4).
+            page.flags = flags | _DIRTY
+        _pack_u64(page.data, offset, value & _MASK64)
+        page.generation += 1
+        if self._write_observers:
+            self._notify(addr, 8)
 
     # ------------------------------------------------------------------
     # Atomic compare-exchange (the patcher's only write primitive)

@@ -12,7 +12,8 @@ is stitched into a **superblock** and compiled — with Python's own
   generated statements with its decoded operands folded in as literals;
 * the register file is lowered to locals (only registers the trace
   touches are loaded/spilled);
-* the single-page ``read/write_u64`` fast paths are inlined;
+* the single-page ``read/write_u64`` fast paths are inlined, with the
+  same ``struct`` calls :class:`repro.arch.memory.PagedMemory` uses;
 * chains that close back on their head become ``while True:`` loops, so
   a 2000-iteration guest loop is one host-level call;
 * a conditional branch back to an earlier step of the chain becomes a
@@ -24,12 +25,12 @@ Correctness is guard-based, exactly like a hardware trace cache:
 * **branch guards** — each conditional branch is compiled in its
   profiled direction; the other direction spills the locals and exits at
   the architecturally exact RIP;
-* **value guards** — an indirect call into a native stub checks the
-  vsyscall slot still holds the compile-time target;
 * **page-generation guards** — every execution validates the generation
-  stamps of all pages the trace was compiled from (the same counters the
+  stamps of all pages the trace was recorded from (the same counters the
   icache stamps blocks with), so NX flips and foreign writes are caught
-  at entry;
+  at entry.  The pages include the vsyscall slot page of every
+  ``call *slot`` the trace makes, so a re-pointed slot evicts the trace
+  like a text write does;
 * **liveness guards** — the write-observer protocol that evicts icache
   blocks also flips the trace's ``live`` cell; compiled code re-checks
   it after stores and native-stub calls, so an ABOM §4.4 ``cmpxchg``
@@ -37,17 +38,22 @@ Correctness is guard-based, exactly like a hardware trace cache:
   racing vCPU between quanta) aborts to the interpreter before any
   stale instruction runs.
 
-A ``syscall`` compiles into a guarded call to
-:func:`repro.arch.cpu.deliver_syscall`, the function the interpreter's
-own ``syscall`` handler calls, so trap delivery keeps one owner; the
-trace resumes only if the handler left RIP at the next instruction, the
-CPU running and the trace live.  A ``call *slot`` into a native stub is
-invoked inline the same way; one into guest code, and ``hlt``, end the
-trace.
-Instruction accounting and simulated-clock charging are synchronized
-before every native-stub call and ``syscall`` and at every exit, so
-counters and timestamps observable from Python (stubs, trap handlers)
-match interpreted execution exactly.
+A trace is recorded when its head turns hot but generated and compiled
+on its first entry, so a chain that never runs (a rotation of a loop
+whose other rotation was entered first) costs a recording and no
+``compile()``.
+
+A ``syscall`` compiles into a guarded call to the CPU's syscall entry
+(or, with none installed, :func:`repro.arch.cpu.deliver_syscall`, which
+raises the trap), the delivery the interpreter's own ``syscall`` handler
+makes; the trace resumes only if the entry left RIP at the next
+instruction, the CPU running and the trace live.  A ``call *slot`` into
+a native stub is invoked inline the same way; one into guest code, and
+``hlt``, end the trace.  Instruction accounting and simulated-clock
+charging are synchronized before every native-stub call and ``syscall``
+and at every exit, so counters and timestamps observable from Python
+(stubs, syscall entries, trap handlers) match interpreted execution
+exactly; the call's own instruction retires at the next of these.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.arch.memory import PageFault
+from repro.arch.memory import PAGE_SHIFT, U64, PageFault
 from repro.arch.encoding import InvalidOpcode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,12 +81,29 @@ MAX_TRACE_BLOCKS = 32
 #: Linear (non-looping) traces shorter than this lose to the icache.
 MIN_LINEAR_OPS = 8
 
-#: Recorded trace shape → (compiled code object, source length).  The
-#: key is everything the generated source depends on (head, steps, loop,
-#: whether instructions charge the clock), so identical programs (fresh
+
+class _Shape:
+    """One recorded trace shape and, once a trace of it has been
+    entered, its compiled code.
+
+    ``key`` is everything the generated source depends on (head, steps,
+    loop, whether instructions charge the clock).  A pending trace holds
+    its shape, not its own copy of the steps, so every trace of one
+    shape shares one key object.
+    """
+
+    __slots__ = ("key", "code", "code_size")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.code = None
+        self.code_size = 0
+
+
+#: Recorded trace shape key → :class:`_Shape`.  Identical programs (fresh
 #: CPUs over the same text, benchmark rounds, every ``CostModel``) share
 #: one ``_generate`` and ``compile()`` process-wide.
-_CODE_MEMO: dict[tuple, tuple[object, int]] = {}
+_CODE_MEMO: dict[tuple, _Shape] = {}
 
 
 @dataclass
@@ -88,13 +111,15 @@ class TraceStats:
     """Trace-cache counters (wired into ``repro.obs`` as
     ``arch_trace_*``).
 
-    ``compiles`` counts installed traces, ``aborts`` chains rejected by
-    the recorder, ``executions`` entries into compiled code,
+    ``compiles`` counts traces built (generated, or taken from the
+    shape memo, and bound to their CPU) on their first entry; a trace
+    recorded but never entered is not counted.  ``aborts`` counts chains
+    rejected by the recorder, ``executions`` entries into compiled code,
     ``instructions`` instructions retired inside traces, ``guard_exits``
-    bail-outs through any guard (branch direction, slot value, SMC
-    liveness), and ``invalidations`` traces evicted by stores or
-    page-generation mismatches.  ``code_bytes`` is a gauge: generated
-    source bytes currently live.
+    bail-outs through any guard (branch direction, RIP or halt after a
+    call, SMC liveness), and ``invalidations`` traces evicted by stores
+    or page-generation mismatches, built or not.  ``code_bytes`` is a
+    gauge: generated source bytes of the built traces currently live.
     """
 
     compiles: int = 0
@@ -118,22 +143,23 @@ class TraceStats:
 
 
 class CompiledTrace:
-    """One installed superblock: the generated function plus the
-    metadata needed to guard and evict it."""
+    """One installed superblock: its recorded shape, the generated
+    function once built, and the metadata needed to guard and evict it."""
 
-    __slots__ = ("head", "fn", "pages", "live", "ops", "blocks", "code_size", "loop")
+    __slots__ = ("head", "shape", "fn", "pages", "live", "ops", "code_size", "loop")
 
-    def __init__(self, head, fn, pages, live, ops, blocks, code_size, loop):
+    def __init__(self, head, shape, pages, ops, loop):
         self.head = head
-        self.fn = fn
+        self.shape = shape
+        #: The trace function; ``None`` until the first entry builds it.
+        self.fn = None
         #: ``(page_index, generation)`` stamps validated on every entry.
         self.pages = pages
         #: One-cell list shared with the generated code; ``[False]``
         #: after eviction, checked mid-trace after stores and stubs.
-        self.live = live
+        self.live = [True]
         self.ops = ops
-        self.blocks = blocks
-        self.code_size = code_size
+        self.code_size = 0
         self.loop = loop
 
 
@@ -198,7 +224,7 @@ class TraceCache:
             and rip not in self.traces
             and rip not in self.failed
         ):
-            self._compile(rip)
+            self._install(rip)
 
     # -- execution -----------------------------------------------------
     def execute(self, rip: int, fuel: int) -> int:
@@ -216,8 +242,11 @@ class TraceCache:
                 self._evict(trace)
                 self.stats.invalidations += 1
                 return 0
+        fn = trace.fn
+        if fn is None:
+            fn = self._build(trace)
         self.stats.executions += 1
-        retired = trace.fn(self.cpu, fuel)
+        retired = fn(self.cpu, fuel)
         self.stats.instructions += retired
         return retired
 
@@ -261,64 +290,66 @@ class TraceCache:
                     del self.page_traces[index]
 
     # -- recording -----------------------------------------------------
-    def _compile(self, head: int) -> None:
+    def _install(self, head: int) -> None:
+        """Record the hot chain at ``head`` and install it, unbuilt."""
         # local: avoid import cycle
-        from repro.arch.cpu import Trap, deliver_syscall
+        from repro.arch.cpu import Trap
 
-        instruction_ns = self.cpu.instruction_ns
-        charge = bool(instruction_ns)
         try:
             steps, loop, retire_total, page_indexes = self._record(head, Trap)
-            key = (head, tuple(steps), loop, charge)
-            memo = _CODE_MEMO.get(key)
-            if memo is None:
-                source = _generate(head, steps, loop, charge)
-                memo = (compile(source, f"<trace {head:#x}>", "exec"), len(source))
-                _CODE_MEMO[key] = memo
         except _Abort:
             self.failed.add(head)
             self.stats.aborts += 1
             return
-        code, code_size = memo
-        live = [True]
-        namespace = {
-            "PageFault": PageFault,
-            "M": MASK64,
-            "S": SIGN64,
-            "NS": float(instruction_ns),
-            "SYSCALL": deliver_syscall,
-            "_LIVE": live,
-            "_STATS": self.stats,
-        }
-        exec(code, namespace)
+        key = (head, tuple(steps), loop, bool(self.cpu.instruction_ns))
+        shape = _CODE_MEMO.get(key)
+        if shape is None:
+            shape = _CODE_MEMO[key] = _Shape(key)
         generation_of = self.cpu.mem.page_generation_index
         pages = tuple(
             (index, generation_of(index)) for index in sorted(page_indexes)
         )
-        trace = CompiledTrace(
-            head=head,
-            fn=namespace["__trace__"],
-            pages=pages,
-            live=live,
-            ops=retire_total,
-            blocks=len(page_indexes),
-            code_size=code_size,
-            loop=loop,
-        )
-        self.traces[head] = trace
+        self.traces[head] = CompiledTrace(head, shape, pages, retire_total, loop)
         for index, _ in pages:
             self.page_traces.setdefault(index, set()).add(head)
+
+    def _build(self, trace: CompiledTrace):
+        """Bind ``trace``'s code to this CPU on its first entry,
+        generating and compiling it if no trace of its shape has been."""
+        # local: avoid import cycle
+        from repro.arch.cpu import deliver_syscall
+
+        shape = trace.shape
+        if shape.code is None:
+            source = _generate(*shape.key)
+            shape.code = compile(source, f"<trace {trace.head:#x}>", "exec")
+            shape.code_size = len(source)
+        namespace = {
+            "PageFault": PageFault,
+            "M": MASK64,
+            "S": SIGN64,
+            "NS": float(self.cpu.instruction_ns),
+            "SYSCALL": deliver_syscall,
+            "UNPACK": U64.unpack_from,
+            "PACK": U64.pack_into,
+            "_LIVE": trace.live,
+            "_STATS": self.stats,
+        }
+        exec(shape.code, namespace)
+        trace.fn = fn = namespace["__trace__"]
+        trace.code_size = shape.code_size
         self.stats.compiles += 1
-        self.stats.code_bytes += code_size
+        self.stats.code_bytes += shape.code_size
         if self.tracer is not None:
             self.tracer.emit(
                 "trace_compile",
                 "compile",
-                head=f"{head:#x}",
-                ops=retire_total,
-                loop=loop,
-                code_bytes=code_size,
+                head=f"{trace.head:#x}",
+                ops=trace.ops,
+                loop=trace.loop,
+                code_bytes=shape.code_size,
             )
+        return fn
 
     def _record(self, head: int, Trap) -> tuple[list, bool, int, set[int]]:
         """Follow the hot chain from ``head``; returns (steps, loop, cost).
@@ -335,7 +366,9 @@ class TraceCache:
         * ``("jmp", addr, target)``
         * ``("stub_call", addr, slot, next_rip, target, resume)`` —
           ``call *slot`` whose target is a native stub, invoked inline
-          (retires 2); ``resume`` folds in the LibOS dead-tail skip
+          (retires 2); ``resume`` folds in the LibOS dead-tail skip, and
+          the slot's page joins the trace's page stamps, so a slot
+          re-pointed later evicts the trace
         * ``("syscall", addr, next_rip)`` — delivered inline (retires 1);
           the trace goes on at ``next_rip``
         * ``("exit", addr)`` — exit *before* ``addr`` (``hlt``, a
@@ -412,6 +445,7 @@ class TraceCache:
                     steps.append(
                         ("stub_call", addr, slot, next_rip, target, resume)
                     )
+                    page_indexes.add(slot >> PAGE_SHIFT)
                     retired += 2  # the call and the stub step
                     cur = resume
                     transferred = True
@@ -653,7 +687,8 @@ def _generate(head, steps, loop, charge) -> str:
         em.emit(1, "_obs = _mem._write_observers")
         em.emit(1, "_r64 = _mem.read_u64")
         em.emit(1, "_w64 = _mem.write_u64")
-        em.emit(1, "_ifb = int.from_bytes")
+        em.emit(1, "_unpack = UNPACK")
+        em.emit(1, "_pack = PACK")
     if has_stub:
         em.emit(1, "_stubs_get = cpu.native_stubs.get")
     if has_syscall:
@@ -685,29 +720,25 @@ def _generate(head, steps, loop, charge) -> str:
     else:
         base = 1
 
-    def emit_read(ind, dst, addr_var):
-        """A 64-bit load, inlined when it sits inside one page."""
+    def emit_u64(ind, addr_var, load_into=None, store=None):
+        """A 64-bit load into ``load_into``, or a store of ``store``,
+        inlined when it sits inside one page (a writable one, for a
+        store): ``PagedMemory.read_u64``/``write_u64``'s fast path."""
         em.emit(ind, f"_pg = _pget({addr_var} >> 12)")
         em.emit(ind, f"_o = {addr_var} & 4095")
-        em.emit(ind, "if _pg is not None and _o <= 4088:")
-        em.emit(ind + 1, f"{dst} = _ifb(_pg.data[_o:_o + 8], 'little')")
-        em.emit(ind, "else:")
-        em.emit(ind + 1, f"{dst} = _r64({addr_var})")
-
-    def emit_write(ind, addr_var, val_expr):
-        """A 64-bit store, inlined when it sits inside one writable page."""
-        em.emit(ind, f"_pg = _pget({addr_var} >> 12)")
-        em.emit(ind, f"_o = {addr_var} & 4095")
+        if load_into is not None:
+            em.emit(ind, "if _pg is not None and _o <= 4088:")
+            em.emit(ind + 1, f"{load_into} = _unpack(_pg.data, _o)[0]")
+            em.emit(ind, "else:")
+            em.emit(ind + 1, f"{load_into} = _r64({addr_var})")
+            return
         em.emit(ind, "if _pg is not None and _o <= 4088 and _pg.flags & 2:")
-        em.emit(
-            ind + 1,
-            f"_pg.data[_o:_o + 8] = ({val_expr}).to_bytes(8, 'little')",
-        )
+        em.emit(ind + 1, f"_pack(_pg.data, _o, {store})")
         em.emit(ind + 1, "_pg.generation += 1")
         em.emit(ind + 1, "for _ob in _obs:")
         em.emit(ind + 2, f"_ob({addr_var}, 8)")
         em.emit(ind, "else:")
-        em.emit(ind + 1, f"_w64({addr_var}, {val_expr})")
+        em.emit(ind + 1, f"_w64({addr_var}, {store})")
 
     def emit_fault_guarded(ind, body, pending, addr):
         em.emit(ind, "try:")
@@ -730,20 +761,19 @@ def _generate(head, steps, loop, charge) -> str:
         em.emit(ind, "_sy = n")
 
     def emit_retire(resume):
-        """After foreign Python ran for an instruction: retire it, as
-        ``CPU._charge`` would, and go on only if the handler resumed at
-        ``resume`` with the CPU running and this trace still live."""
-        em.emit(base, "n += 1")
-        em.emit(base, "cpu.instructions_retired += 1")
-        if charge:
-            em.emit(base, "_adv(_ns)")
-        em.emit(base, "_sy = n")
+        """After foreign Python ran for an instruction: go on only if the
+        handler resumed at ``resume`` with the CPU running and this trace
+        still live.  The instruction retires, as ``CPU._charge`` would,
+        at the guard exit or, pending, at the next sync."""
         em.emit(base, f"if cpu.halted or regs.rip != {resume:#x} or not _L[0]:")
+        em.emit(base + 1, "cpu.instructions_retired += 1")
+        if charge:
+            em.emit(base + 1, "_adv(_ns)")
         em.emit(base + 1, "_STATS.guard_exits += 1")
-        em.emit(base + 1, "return n")
+        em.emit(base + 1, "return n + 1")
         for line in reload_lines():
             em.emit(base, line)
-        em.pending = 0
+        em.pending = 1
         em.synced = True
 
     for index, step in enumerate(steps):
@@ -828,7 +858,7 @@ def _generate(head, steps, loop, charge) -> str:
                 em.emit(base, "r4 = (r4 - 8) & _M")
                 emit_fault_guarded(
                     base,
-                    lambda ind, v=value: emit_write(ind, "r4", v),
+                    lambda ind, v=value: emit_u64(ind, "r4", store=v),
                     em.pending,
                     addr,
                 )
@@ -842,7 +872,7 @@ def _generate(head, steps, loop, charge) -> str:
                 dst = "_v" if reg == 4 else f"r{reg}"
                 emit_fault_guarded(
                     base,
-                    lambda ind, d=dst: emit_read(ind, d, "r4"),
+                    lambda ind, d=dst: emit_u64(ind, "r4", load_into=d),
                     em.pending,
                     addr,
                 )
@@ -855,7 +885,7 @@ def _generate(head, steps, loop, charge) -> str:
                 em.emit(base, f"_a = (r4 + {disp}) & _M")
                 emit_fault_guarded(
                     base,
-                    lambda ind, r=reg: emit_read(ind, f"r{r}", "_a"),
+                    lambda ind, r=reg: emit_u64(ind, "_a", load_into=f"r{r}"),
                     em.pending,
                     addr,
                 )
@@ -864,7 +894,7 @@ def _generate(head, steps, loop, charge) -> str:
                 em.emit(base, f"_a = (r4 + {disp}) & _M")
                 emit_fault_guarded(
                     base,
-                    lambda ind, r=reg: emit_write(ind, "_a", f"r{r}"),
+                    lambda ind, r=reg: emit_u64(ind, "_a", store=f"r{r}"),
                     em.pending,
                     addr,
                 )
@@ -896,23 +926,17 @@ def _generate(head, steps, loop, charge) -> str:
         elif kind == "jmp":
             em.pending += 1
         elif kind == "stub_call":
+            # The slot still holds ``target``: its page is stamped, and a
+            # store to it evicts the trace (checked at entry, and by the
+            # ``_L`` check after every store and call).
             _, addr, slot, next_rip, target, resume = step
-            emit_fault_guarded(
-                base,
-                lambda ind, s=slot: emit_read(ind, "_t", f"{s:#x}"),
-                em.pending,
-                addr,
-            )
             em.emit(base, "r4 = (r4 - 8) & _M")
             emit_fault_guarded(
                 base,
-                lambda ind, v=next_rip: emit_write(ind, "r4", f"{v:#x}"),
+                lambda ind, v=next_rip: emit_u64(ind, "r4", store=f"{v:#x}"),
                 em.pending,
                 addr,
             )
-            em.emit(base, f"if _t != {target:#x}:")
-            for line in exit_lines(em.pending + 1, "_t", guard=True):
-                em.emit(base + 1, line)
             # Sync the interpreter-visible state (count, clock, registers,
             # RIP) before handing control to foreign Python: the stub must
             # observe exactly what it would mid-interpretation.
@@ -929,7 +953,7 @@ def _generate(head, steps, loop, charge) -> str:
             emit_retire(resume)
         elif kind == "syscall":
             _, addr, resume = step
-            # The same hand-off as a stub: the trap handler sees the
+            # The same hand-off as a stub: the syscall entry sees the
             # state the interpreter would show it at this ``syscall``.
             if em.pending:
                 em.emit(base, f"n += {em.pending}")
@@ -942,7 +966,9 @@ def _generate(head, steps, loop, charge) -> str:
             for line in spill_lines():
                 em.emit(base, line)
             em.emit(base, f"regs.rip = {addr:#x}")
-            em.emit(base, f"_sys(cpu, {addr:#x})")
+            # The CPU's syscall entry, called here without the frame of
+            # ``deliver_syscall``, which raises the trap when it is unset.
+            em.emit(base, f"(cpu.syscall_entry or _sys)(cpu, {addr:#x})")
             emit_retire(resume)
         elif kind == "exit":
             _, addr = step

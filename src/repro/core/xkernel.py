@@ -30,6 +30,10 @@ from repro.perf.costs import CostModel
 
 #: x86 ``hlt``: one byte; an interrupt resumes at the next instruction.
 _HLT_OPCODE = 0xF4
+#: Bound once: an enum member lookup is a descriptor call in Python 3.11,
+#: and the syscall kind is read twice per forwarded syscall.
+_SYSCALL = TrapKind.SYSCALL
+_INVALID_OPCODE = TrapKind.INVALID_OPCODE
 
 
 @dataclass
@@ -69,21 +73,33 @@ class XKernel:
     # CPU attachment
     # ------------------------------------------------------------------
     def attach(self, cpu: CPU, libos: XLibOS) -> None:
-        """Install this kernel as ``cpu``'s trap handler, serving ``libos``."""
+        """Install this kernel as ``cpu``'s syscall entry and trap
+        handler, serving ``libos``.
+
+        Both hooks go through :meth:`handle_trap`: a trapped ``syscall``
+        arrives at the entry (LSTAR) without a :class:`Trap`, so the entry
+        builds one, and every forwarded syscall and every #UD is one
+        ``handle_trap`` call.
+        """
 
         def handler(cpu: CPU, trap: Trap) -> None:
             self.handle_trap(cpu, trap, libos)
 
+        def entry(cpu: CPU, rip: int) -> None:
+            self.handle_trap(cpu, Trap(_SYSCALL, rip), libos)
+
         cpu.trap_handler = handler
+        cpu.syscall_entry = entry
         libos.attach(cpu)
 
     # ------------------------------------------------------------------
     # Trap handling
     # ------------------------------------------------------------------
     def handle_trap(self, cpu: CPU, trap: Trap, libos: XLibOS) -> None:
-        if trap.kind is TrapKind.SYSCALL:
+        kind = trap.kind
+        if kind is _SYSCALL:
             self._handle_syscall(cpu, trap, libos)
-        elif trap.kind is TrapKind.INVALID_OPCODE:
+        elif kind is _INVALID_OPCODE:
             self._handle_ud(cpu, trap)
         else:
             raise trap

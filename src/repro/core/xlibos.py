@@ -32,9 +32,6 @@ from repro.core.vsyscall import VsyscallPage
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
-_SYSCALL = b"\x0f\x05"
-_JMP_BACK = b"\xeb\xf7"
-
 
 class SyscallServices(Protocol):
     """What the X-LibOS needs from its kernel-services backend."""
@@ -119,12 +116,16 @@ class XLibOS:
         page = self.memory._pages.get(ret_addr >> PAGE_SHIFT)
         offset = ret_addr & (PAGE_SIZE - 1)
         if page is not None and offset < PAGE_SIZE - 1:
-            tail = page.data[offset : offset + 2]
+            data = page.data
+            first, second = data[offset], data[offset + 1]
         elif page is not None and self.memory.is_mapped(ret_addr + 1):
-            tail = self.memory.read(ret_addr, 2)  # spans two pages
+            first, second = self.memory.read(ret_addr, 2)  # spans two pages
         else:
-            tail = None
-        if tail in (_SYSCALL, _JMP_BACK):
+            first = second = None
+        # ``0f 05`` is the dead ``syscall``, ``eb f7`` the ``jmp -9``.
+        if (first == 0x0F and second == 0x05) or (
+            first == 0xEB and second == 0xF7
+        ):
             self.stats.return_address_skips += 1
             ret_addr += 2
         R[4] = (R[4] + 8) & MASK64

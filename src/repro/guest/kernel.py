@@ -147,6 +147,10 @@ class GuestKernel:
         )
         self.stats = KernelStats()
         self._procs: dict[int, Process] = {}
+        #: ``next(iter(_procs))``, the pid machine code runs as, cached
+        #: for :meth:`invoke`: ``None`` until asked, and again once that
+        #: process is reaped.  Nothing else changes the first entry.
+        self._first_pid: int | None = None
         self._next_pid = 1
         self._next_asid = 1
 
@@ -234,6 +238,8 @@ class GuestKernel:
         code = child.exit_code or 0
         self.runqueue.remove(child)
         del self._procs[child.pid]
+        if child.pid == self._first_pid:
+            self._first_pid = None
         parent.children.remove(child.pid)
         return code
 
@@ -328,7 +334,10 @@ class GuestKernel:
         regs = cpu.regs if cpu is not None else None
         R = regs._regs if regs is not None else None
         procs = self._procs
-        pid = next(iter(procs)) if procs else self._spawn_emulator_process()
+        pid = self._first_pid
+        if pid is None:
+            pid = next(iter(procs)) if procs else self._spawn_emulator_process()
+            self._first_pid = pid
         if nr == _NR_DUP or nr == _NR_CLOSE:
             fd = R[7] if R is not None else 0
             if fd not in procs[pid].fds:

@@ -11,8 +11,7 @@ PIPE_BUF_CAPACITY = 65536
 
 
 class PipeError(OSError):
-    def __init__(self, err: int) -> None:
-        super().__init__(err, errno.errorcode.get(err, str(err)))
+    """``PipeError(errno, name)``, as ``OSError`` takes them."""
 
 
 class Pipe:
@@ -44,7 +43,14 @@ class Pipe:
     def read(self, count: int) -> bytes:
         """Read up to ``count`` buffered bytes (b"" = empty)."""
         if count < 0:
-            raise PipeError(errno.EINVAL)
+            raise PipeError(errno.EINVAL, "EINVAL")
+        buffer = self._buffer
+        if len(buffer) == 1 and len(buffer[0]) <= count:
+            # One write, read whole: the common ping-pong case.
+            chunk = buffer.popleft()
+            self._buffered -= len(chunk)
+            self.bytes_read += len(chunk)
+            return chunk
         out = bytearray()
         while self._buffer and len(out) < count:
             chunk = self._buffer.popleft()

@@ -22,7 +22,7 @@ import abc
 from dataclasses import dataclass
 
 from repro.arch.binary import Binary
-from repro.arch.cpu import CPU, Trap, TrapKind
+from repro.arch.cpu import CPU
 from repro.arch.memory import PagedMemory, PageFlags
 from repro.arch.registers import MASK64
 from repro.guest.kernel import GuestKernel
@@ -120,16 +120,16 @@ class Platform(abc.ABC):
         regs = cpu.regs
         R = regs._regs
 
-        def handler(cpu: CPU, trap: Trap) -> None:
+        def entry(cpu: CPU, rip: int) -> None:
             nonlocal syscalls
-            if trap.kind is not TrapKind.SYSCALL:
-                raise trap
             syscalls += 1
             clock.advance(per_syscall)
             R[0] = kernel.invoke(R[0] & 0xFFFFFFFF, cpu) & MASK64
-            regs.rip = trap.rip + 2
+            regs.rip = rip + 2
 
-        cpu.trap_handler = handler
+        # The syscall body is the CPU's syscall entry; with no trap
+        # handler installed, a #UD or page fault is raised to the caller.
+        cpu.syscall_entry = entry
         start = clock.now_ns
         retired = cpu.run()
         return EmulatedRun(retired, clock.now_ns - start, syscalls)

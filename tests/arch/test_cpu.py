@@ -163,11 +163,11 @@ class TestTraps:
         cpu = make_cpu(asm.build())
         seen = []
 
-        def handler(cpu, trap):
-            seen.append(trap.rip)
-            cpu.regs.rip = trap.rip + 2
+        def entry(cpu, rip):
+            seen.append(rip)
+            cpu.regs.rip = rip + 2
 
-        cpu.trap_handler = handler
+        cpu.syscall_entry = entry
         cpu.run()
         assert seen == [site.syscall_addr]
 

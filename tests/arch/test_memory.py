@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.memory import PAGE_SHIFT, PagedMemory, PageFault, PageFlags
 
@@ -266,3 +268,72 @@ class TestCompareExchange:
         mem.map_region(0x1000, 4096, RO)
         with pytest.raises(PageFault):
             mem.compare_exchange(0x1000, bytes(2), b"ab")
+
+
+#: Two pages: ``LOW`` (flags vary) then ``HIGH`` (writable); unmapped after.
+LOW, HIGH = 0x10000, 0x11000
+
+
+def _scalar_layout(low_flags, wp):
+    mem = PagedMemory()
+    if low_flags is not None:
+        mem.map_region(LOW, 0x1000, low_flags)
+    mem.map_region(HIGH, 0x1000, RW)
+    mem.wp_enabled = wp
+    calls = []
+    mem.add_write_observer(lambda addr, size: calls.append((addr, size)))
+    return mem, calls
+
+
+class TestScalarMatchesByteReference:
+    """``read_u64``/``write_u64`` unpack and pack in place; each leaves
+    what ``read(addr, 8)``/``write(addr, value.to_bytes(8, "little"))``
+    leave: the value or the fault, the bytes, flags (DIRTY), generations
+    and observer calls, at offsets 4088-4095 (page-spanning), on
+    read-only and unmapped pages, with write protection on or off."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        low_flags=st.sampled_from([None, RW, RO]),
+        wp=st.booleans(),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.one_of(
+                    st.integers(LOW + 4088, LOW + 4095),
+                    st.integers(HIGH + 4088, HIGH + 4095),
+                    st.integers(LOW - 8, HIGH + 4088),
+                ),
+                st.integers(0, (1 << 64) - 1),
+            ),
+            max_size=24,
+        ),
+    )
+    def test_u64_matches_bytes(self, low_flags, wp, ops):
+        fast, fast_calls = _scalar_layout(low_flags, wp)
+        ref, ref_calls = _scalar_layout(low_flags, wp)
+        for is_write, addr, value in ops:
+            outcomes = []
+            for mem, scalar in ((fast, True), (ref, False)):
+                try:
+                    if is_write and scalar:
+                        result = mem.write_u64(addr, value)
+                    elif is_write:
+                        result = mem.write(addr, value.to_bytes(8, "little"))
+                    elif scalar:
+                        result = mem.read_u64(addr)
+                    else:
+                        result = int.from_bytes(mem.read(addr, 8), "little")
+                except PageFault as exc:
+                    result = ("fault", exc.addr, exc.reason)
+                outcomes.append(result)
+            assert outcomes[0] == outcomes[1]
+        assert fast_calls == ref_calls
+
+        def state(mem):
+            return [
+                (index, bytes(page.data), page.flags, page.generation)
+                for index, page in sorted(mem._pages.items())
+            ]
+
+        assert state(fast) == state(ref)

@@ -7,11 +7,15 @@ architecturally exact RIP.  See ``docs/interpreter_performance.md``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import Assembler, CPU, PagedMemory, Reg
+from repro.arch import Assembler, CPU, PagedMemory, Reg, Trap
 from repro.arch.encoding import enc_call_abs_ind, enc_pop_r64, enc_push_r64
-from repro.arch.memory import PageFault, PageFlags
+from repro.arch.memory import PAGE_SHIFT, PageFault, PageFlags
 from repro.arch.tracecache import HOT_THRESHOLD, MIN_LINEAR_OPS
+from repro.workloads.unixbench import build_syscall_bench
+from repro.xen.migration import checkpoint_memory, restore_memory
 
 BASE = 0x400000
 STACK_BASE = 0x7F0000
@@ -297,10 +301,10 @@ def syscall_loop(iterations):
 
 
 class TestSyscallInTrace:
-    """A ``syscall`` compiles into the trace as a call to the trap
-    handler.  Whatever the handler does (resume after the syscall, halt,
-    move RIP, raise, write the trace's own text), the trace leaves the
-    state the interpreter leaves, and the handler sees the registers,
+    """A ``syscall`` compiles into the trace as a call to the CPU's
+    syscall entry.  Whatever the entry does (resume after the syscall,
+    halt, move RIP, raise, write the trace's own text), the trace leaves
+    the state the interpreter leaves, and the entry sees the registers,
     flags, RIP, retired count and clock the interpreter shows it."""
 
     ITERATIONS = 120
@@ -322,25 +326,25 @@ class TestSyscallInTrace:
             seen = []
             handle = make_handler(binary)
 
-            def handler(cpu, trap, handle=handle, seen=seen):
+            def entry(cpu, rip, handle=handle, seen=seen):
                 regs = cpu.regs
                 seen.append((
-                    trap.kind, trap.rip, regs.rip, regs.snapshot(),
+                    rip, regs.rip, regs.snapshot(),
                     (regs.zf, regs.sf, regs.cf),
                     cpu.instructions_retired, cpu.clock.now_ns,
                 ))
                 cpu.clock.advance(7.0)
                 regs.rax = len(seen)
-                regs.rip = trap.rip + 2
+                regs.rip = rip + 2
                 handle(cpu, len(seen))
 
-            cpu.trap_handler = handler
+            cpu.syscall_entry = entry
             raised = None
             try:
                 # A trace that loses the loop counter spins until this
                 # budget (about 8x the program) runs out.
                 cpu.run(max_instructions=5_000)
-            except Boom as exc:
+            except (Boom, Trap) as exc:
                 raised = str(exc)
             outcomes.append((
                 final_state(cpu), cpu.halted, cpu.clock.now_ns, seen, raised
@@ -425,6 +429,26 @@ class TestSyscallInTrace:
         assert cpu.trace_stats.executions == 1
         assert cpu.trace_stats.instructions == 0
 
+    def test_entry_uninstalled_mid_trace(self):
+        """With no syscall entry, the next ``syscall`` raises
+        ``Trap(SYSCALL)`` from inside the trace, unretired, with the
+        state the interpreter leaves."""
+
+        def make(binary):
+            def handle(cpu, k):
+                if k == self.LATE_CALL:
+                    cpu.syscall_entry = None
+
+            return handle
+
+        cpu, (_, _, _, seen, raised) = self.run_both(make)
+        loop = syscall_loop(self.ITERATIONS).symbols["loop"]
+        # mov eax, 39 is five bytes; the syscall follows it.
+        assert raised == f"syscall at {loop + 5:#x}"
+        assert len(seen) == self.LATE_CALL
+        assert cpu.regs.rip == loop + 5
+        assert cpu.trace_stats.executions == 1
+
     def test_handler_writes_the_trace_text(self):
         """The handler rewrites ``inc rcx`` into ``inc rdx`` in the
         running trace's own page: the trace leaves through its liveness
@@ -444,6 +468,303 @@ class TestSyscallInTrace:
         assert cpu.regs.read64(Reg.RCX) == self.LATE_CALL - 1
         assert cpu.regs.read64(Reg.RDX) == self.ITERATIONS - self.LATE_CALL + 1
         assert cpu.trace_stats.invalidations >= 1
+
+
+SLOT = 0x7E0008
+#: Two native stubs (never fetched as bytes, like the LibOS entry stubs).
+STUB_A = 0xFFFFFFFFFF610000
+STUB_B = STUB_A + 16
+
+
+def slot_loop(iterations):
+    """A hot loop calling through the vsyscall-style ``SLOT``, then
+    making a raw ``syscall``."""
+    asm = Assembler(base=BASE)
+    asm.mov_imm32(Reg.RBX, iterations)
+    asm.label("loop")
+    asm.raw(enc_call_abs_ind(SLOT))
+    asm.inc(Reg.RCX)
+    asm.mov_imm32(Reg.RAX, 39)
+    asm.raw_syscall()
+    asm.dec(Reg.RBX)
+    asm.jne("loop")
+    asm.hlt()
+    return asm.build()
+
+
+class TestStubSlot:
+    """A ``call *slot`` into a native stub is compiled without reading
+    the slot: the slot's page is in the trace's stamps, so re-pointing
+    it evicts the trace as a text write does.  Either way, the trace
+    cache on and off leave the same registers, flags, RIP, retired
+    count, clock and stub- and entry-visible state."""
+
+    ITERATIONS = 120
+    #: The 60th call: the loop has been running in its trace.
+    LATE_CALL = 60
+
+    def run_both(self, by):
+        binary = slot_loop(self.ITERATIONS)
+        outcomes = []
+        for tracecache in (True, False):
+            mem = PagedMemory()
+            binary.load(mem)
+            mem.map_region(STACK_BASE, 0x1000, PageFlags.USER | PageFlags.WRITABLE)
+            # Read-only, like the vsyscall page: only a supervisor store
+            # (write protect off) re-points the slot.
+            mem.map_region(SLOT & ~0xFFF, 0x1000, PageFlags.USER)
+            mem.wp_enabled = False
+            mem.write_u64(SLOT, STUB_A)
+            mem.wp_enabled = True
+            # 0.5 ns sums exactly in any order.
+            cpu = CPU(mem, instruction_ns=0.5, tracecache=tracecache)
+            cpu.regs.rip = binary.entry
+            cpu.regs.rsp = STACK_BASE + 0x800
+            seen = []
+            calls = {"stub": 0, "entry": 0}
+
+            def repoint(cpu, who):
+                calls[who] += 1
+                if who != by or calls[who] != self.LATE_CALL:
+                    return
+                cpu.mem.wp_enabled = False
+                cpu.mem.write_u64(SLOT, STUB_B)
+                cpu.mem.wp_enabled = True
+
+            def make_stub(name, step, seen=seen):
+                def stub(cpu):
+                    regs = cpu.regs
+                    seen.append((
+                        name, regs.rip, regs.snapshot(),
+                        cpu.instructions_retired, cpu.clock.now_ns,
+                    ))
+                    cpu.clock.advance(3.0)
+                    regs.write64(Reg.RDX, regs.read64(Reg.RDX) + step)
+                    # ``ret``: resume at the pushed return address.
+                    regs.rip = cpu.mem.read_u64(regs.rsp)
+                    regs.rsp = regs.rsp + 8
+                    repoint(cpu, "stub")
+
+                return stub
+
+            def entry(cpu, rip, seen=seen):
+                seen.append(("entry", rip, cpu.regs.snapshot(),
+                             cpu.instructions_retired, cpu.clock.now_ns))
+                cpu.clock.advance(7.0)
+                cpu.regs.rip = rip + 2
+                repoint(cpu, "entry")
+
+            cpu.native_stubs[STUB_A] = make_stub("A", 1)
+            cpu.native_stubs[STUB_B] = make_stub("B", 100)
+            cpu.syscall_entry = entry
+            cpu.run(max_instructions=5_000)
+            outcomes.append((final_state(cpu), cpu.clock.now_ns, seen))
+            if tracecache:
+                traced = cpu
+        assert outcomes[0] == outcomes[1]
+        return traced, outcomes[0]
+
+    @pytest.mark.parametrize("by", ["stub", "entry"])
+    def test_slot_repointed_mid_trace(self, by):
+        cpu, (_, _, seen) = self.run_both(by)
+        stubs = [record[0] for record in seen if record[0] != "entry"]
+        assert stubs == ["A"] * self.LATE_CALL + ["B"] * (
+            self.ITERATIONS - self.LATE_CALL
+        )
+        assert cpu.regs.read64(Reg.RDX) == self.LATE_CALL + 100 * (
+            self.ITERATIONS - self.LATE_CALL
+        )
+        stats = cpu.trace_stats
+        # The store to the slot page evicted the loop's three rotations
+        # (each calls through the slot), the running one among them; the
+        # loop re-traced through the new target and ran to its exit.
+        assert stats.invalidations == 3
+        assert stats.compiles == 2
+        assert stats.instructions > (self.ITERATIONS - self.LATE_CALL) * 5
+
+    def test_slot_page_is_stamped(self):
+        cpu, _ = self.run_both("stub")
+        (trace,) = [t for t in cpu._tracecache.traces.values() if t.fn]
+        assert SLOT >> PAGE_SHIFT in dict(trace.pages)
+        assert trace.head in cpu._tracecache.page_traces[SLOT >> PAGE_SHIFT]
+
+
+class TestBuildOnFirstEntry:
+    """A trace is recorded when its head turns hot, and generated,
+    compiled and bound to its CPU on its first entry."""
+
+    @staticmethod
+    def fig4_cpu(tracecache):
+        binary = build_syscall_bench(200)
+        cpu = fresh_cpu(binary, tracecache=tracecache)
+
+        def entry(cpu, rip):
+            cpu.regs.rax = 0
+            cpu.regs.rip = rip + 2
+
+        cpu.syscall_entry = entry
+        return cpu
+
+    def test_rotation_never_entered_is_never_generated(self, monkeypatch):
+        from repro.arch import tracecache as m
+
+        monkeypatch.setattr(m, "_CODE_MEMO", {})
+        generated = []
+        generate = m._generate
+
+        def counting(head, *rest):
+            generated.append(head)
+            return generate(head, *rest)
+
+        monkeypatch.setattr(m, "_generate", counting)
+        traced = self.fig4_cpu(True)
+        traced.run()
+        plain = self.fig4_cpu(False)
+        plain.run()
+        assert final_state(traced) == final_state(plain)
+        tc = traced._tracecache
+        # The Fig 4 loop's five syscalls split it into six rotations,
+        # each hot; the one entered first is the only one built.
+        assert len(tc.traces) == 6
+        built = [head for head, t in tc.traces.items() if t.fn is not None]
+        assert generated == built
+        assert len(built) == 1
+        assert traced.trace_stats.compiles == 1
+        assert len(m._CODE_MEMO) == 6
+        assert sum(shape.code is not None for shape in m._CODE_MEMO.values()) == 1
+
+    def test_page_change_before_first_entry_evicts_unbuilt(self):
+        """A checkpoint restore swaps the text page without a store, so
+        no write observer sees it.  The trace recorded from the old text
+        fails its stamps at its first entry and is evicted unbuilt."""
+        binary = counting_loop(300)
+        head = binary.symbols["loop"]
+        states = []
+        steps = None
+        for tracecache in (True, False):
+            mem = PagedMemory()
+            binary.load(mem)
+            patched = checkpoint_memory(mem, {})
+            text = bytearray(patched.pages[BASE >> PAGE_SHIFT])
+            off = text.index(b"\x48\xff\xc0")  # inc rax -> dec rax
+            text[off : off + 3] = b"\x48\xff\xc8"
+            patched.pages[BASE >> PAGE_SHIFT] = bytes(text)
+            cpu = CPU(mem, tracecache=tracecache)
+            cpu.regs.rip = binary.entry
+            if tracecache:
+                tc = cpu._tracecache
+                steps = 0
+                while head not in tc.traces:
+                    cpu.step()
+                    steps += 1
+                first = tc.traces[head]
+                assert first.fn is None
+            else:
+                for _ in range(steps):
+                    cpu.step()
+            restore_memory(patched, mem)
+            cpu.run()
+            states.append(final_state(cpu))
+            if tracecache:
+                traced = cpu
+        assert states[0] == states[1]
+        assert first.fn is None and not first.live[0]
+        stats = traced.trace_stats
+        assert stats.invalidations == 1
+        # Re-recorded from the new text, built at its first entry.
+        assert stats.compiles == 1
+        assert traced._tracecache.traces[head].fn is not None
+
+
+class _ReferenceMemory(PagedMemory):
+    """64-bit loads and stores as byte reads and writes."""
+
+    def read_u64(self, addr):
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write_u64(self, addr, value):
+        self.write(addr, (value & (1 << 64) - 1).to_bytes(8, "little"))
+
+
+def memory_state(mem):
+    return [
+        (index, bytes(page.data), page.flags, page.generation)
+        for index, page in sorted(mem._pages.items())
+    ]
+
+
+class TestInlinedLoadsAndStores:
+    """A trace inlines the one-page case of ``read_u64``/``write_u64``
+    with the same ``struct`` calls.  Run against an interpreter whose
+    loads and stores are ``read(addr, 8)``/``write(addr, bytes)``, it
+    must leave the same registers, count, fault, bytes, flags,
+    generations and observer calls, across a page boundary, into a
+    read-only or unmapped page, with write protection on or off."""
+
+    UPPER = 0x11000  # writable; the stack descends from here
+
+    @staticmethod
+    def program(iterations, store_disp, load_disp):
+        asm = Assembler(base=BASE)
+        asm.mov_imm32(Reg.RBX, iterations)
+        asm.label("loop")
+        asm.raw(enc_push_r64(Reg.RBX))
+        asm.raw(enc_pop_r64(Reg.RDX))
+        asm.raw(enc_push_r64(Reg.RDX))
+        asm.store_rsp64(store_disp, Reg.RCX)
+        asm.load_rsp64(Reg.RAX, load_disp)
+        asm.inc(Reg.RCX)
+        asm.dec(Reg.RBX)
+        asm.jne("loop")
+        asm.hlt()
+        return asm.build()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lower=st.sampled_from(["rw", "ro", "unmapped"]),
+        wp=st.booleans(),
+        misalign=st.integers(0, 7),
+        crossing=st.integers(HOT_THRESHOLD + 4, 110),
+        store_disp=st.sampled_from([0, 8, 16, -8]),
+        load_disp=st.sampled_from([0, 8, 24, 4]),
+    )
+    def test_matches_byte_reference(
+        self, lower, wp, misalign, crossing, store_disp, load_disp
+    ):
+        binary = self.program(120, store_disp, load_disp)
+        outcomes = []
+        for memory_type, tracecache in (
+            (PagedMemory, True), (_ReferenceMemory, False)
+        ):
+            mem = memory_type()
+            binary.load(mem)
+            mem.map_region(self.UPPER, 0x1000, PageFlags.USER | PageFlags.WRITABLE)
+            if lower != "unmapped":
+                flags = PageFlags.USER
+                if lower == "rw":
+                    flags |= PageFlags.WRITABLE
+                mem.map_region(self.UPPER - 0x1000, 0x1000, flags)
+            cpu = CPU(mem, tracecache=tracecache)
+            calls = []
+            mem.add_write_observer(lambda addr, size: calls.append((addr, size)))
+            mem.wp_enabled = wp
+            cpu.regs.rip = binary.entry
+            # The stack drops 8 bytes an iteration and crosses into the
+            # lower page at about iteration ``crossing``, inside the trace.
+            cpu.regs.rsp = self.UPPER + 8 * crossing + misalign
+            raised = None
+            try:
+                cpu.run(max_instructions=5_000)
+            except PageFault as exc:
+                raised = str(exc)
+            outcomes.append(
+                (final_state(cpu), raised, memory_state(mem), calls)
+            )
+            if tracecache:
+                traced = cpu
+        assert outcomes[0] == outcomes[1]
+        # The crossing (and any fault) came while the trace ran.
+        assert traced.trace_stats.executions >= 1
 
 
 class TestInvalidation:
@@ -586,15 +907,15 @@ class TestInnerLoops:
     def recorded(self, monkeypatch):
         from repro.arch import tracecache as m
 
-        monkeypatch.setattr(m, "_CODE_MEMO", {})
         self.steps = {}
-        generate = m._generate
+        record = m.TraceCache._record
 
-        def capture(head, steps, *rest):
+        def capture(tc, head, *rest):
+            steps, *more = record(tc, head, *rest)
             self.steps[head] = list(steps)
-            return generate(head, steps, *rest)
+            return (steps, *more)
 
-        monkeypatch.setattr(m, "_generate", capture)
+        monkeypatch.setattr(m.TraceCache, "_record", capture)
 
     def run_both(self, binary, budget=None, writable_text=False, rsp=None):
         states = []
@@ -608,14 +929,14 @@ class TestInnerLoops:
             cpu.regs.rsp = rsp if rsp is not None else STACK_BASE + 0x800
             seen = []
 
-            def handler(cpu, trap, seen=seen):
-                # Record what the handler sees, charge it, resume after.
+            def entry(cpu, rip, seen=seen):
+                # Record what the entry sees, charge it, resume after.
                 seen.append((cpu.regs.snapshot(), cpu.instructions_retired,
                              cpu.clock.now_ns))
                 cpu.clock.advance(7.0)
-                cpu.regs.rip = trap.rip + 2
+                cpu.regs.rip = rip + 2
 
-            cpu.trap_handler = handler
+            cpu.syscall_entry = entry
             if budget is None:
                 cpu.run()
             else:

@@ -341,3 +341,38 @@ class TestByteIdentity:
         # 1000 ticks x 5 domains for the oracle; one delivery for hybrid.
         assert stepped.stats.polls == 5000
         assert hybrid.stats.polls == 1
+
+
+class TestTraceClockContract:
+    """Traces charge ``n * instruction_ns`` at each sync, the interpreter
+    ``instruction_ns`` per instruction.  At the default cost model's
+    0.17 ns the two sums round differently; they agree in every count
+    and in the clock to one rounding error per retired instruction."""
+
+    BURSTS = 300
+
+    def run(self):
+        engine = ExecutionEngine()
+        dom = engine.spawn()
+        for burst in range(self.BURSTS):
+            engine.post_work(dom.domid, 1 + burst * 7 % 9, engine.now_ns)
+            engine.run_until(engine.now_ns + engine.tick_ns)
+        return dom
+
+    def test_default_cost_model_clock(self, monkeypatch):
+        from repro.arch import tracecache
+
+        traced = self.run()
+        # No head turns hot within the run: every instruction interpreted.
+        monkeypatch.setattr(tracecache, "HOT_THRESHOLD", 10**9)
+        plain = self.run()
+        assert traced.cpu.instruction_ns == plain.cpu.instruction_ns == 0.17
+        assert traced.cpu.trace_stats.instructions > 0
+        assert plain.cpu.trace_stats.compiles == 0
+        retired = traced.cpu.instructions_retired
+        assert retired == plain.cpu.instructions_retired
+        units = sum(1 + burst * 7 % 9 for burst in range(self.BURSTS))
+        assert traced.completed == plain.completed == units
+        bound = retired * 2**-52 * plain.clock.now_ns
+        assert abs(traced.clock.now_ns - plain.clock.now_ns) <= bound
+

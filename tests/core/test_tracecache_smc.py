@@ -126,17 +126,17 @@ class TestPatchedSiteTraces:
             xc = XContainer(CountingServices(), tracecache=tracecache)
             abom = xc.xkernel.abom
             abom.enabled = False
-            deliver = xc.cpu.trap_handler
+            deliver = xc.cpu.syscall_entry
             in_trace = []
 
-            def handler(cpu, trap, xc=xc, abom=abom, deliver=deliver):
+            def entry(cpu, rip, xc=xc, abom=abom, deliver=deliver):
                 if xc.libos_stats.forwarded_syscalls == 59:
                     abom.enabled = True
                     tc = cpu._tracecache
                     in_trace.append(tc is not None and bool(tc.traces))
-                deliver(cpu, trap)
+                deliver(cpu, rip)
 
-            xc.cpu.trap_handler = handler
+            xc.cpu.syscall_entry = entry
             binary, _ = loop_program("mov_eax", 39, 120)
             result = xc.run(binary, max_instructions=5_000)
             outcomes.append(

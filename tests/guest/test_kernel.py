@@ -235,3 +235,34 @@ class TestEmulatorServices:
         cpu = self.FakeCpu()
         child_pid = kernel.invoke(SYS["fork"], cpu)
         assert child_pid == 2
+
+
+class TestEmulatorPid:
+    """``invoke`` serves machine code as the first process in the table;
+    the pid is cached, and fork and waitpid keep that pick."""
+
+    def test_fork_and_waitpid_keep_the_first_process(self):
+        kernel, _ = make_kernel()
+        cpu = TestEmulatorServices.FakeCpu()
+        first = kernel.invoke(SYS["getpid"], cpu)
+        child = kernel.invoke(SYS["fork"], cpu)
+        assert kernel.invoke(SYS["getpid"], cpu) == first
+        kernel.exit(child)
+        kernel.waitpid(first, child)
+        assert kernel.invoke(SYS["getpid"], cpu) == first
+        assert list(kernel._procs) == [first]
+
+    def test_cache_follows_the_first_entry(self):
+        kernel, _ = make_kernel()
+        cpu = TestEmulatorServices.FakeCpu()
+        parent = kernel.spawn("init")
+        child = kernel.fork(parent.pid)
+        assert kernel.invoke(SYS["getpid"], cpu) == parent.pid
+        # Reaping a process that is first in the table (a test-only
+        # reparenting: the child becomes the parent's parent) moves the
+        # pick to the next entry, as ``next(iter(_procs))`` would.
+        parent.ppid = child.pid
+        child.children.append(parent.pid)
+        kernel.exit(parent.pid)
+        kernel.waitpid(child.pid, parent.pid)
+        assert kernel.invoke(SYS["getpid"], cpu) == child.pid

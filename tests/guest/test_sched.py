@@ -83,3 +83,23 @@ class TestEffectiveCapacity:
     def test_capacity_never_negative(self):
         rq = RunQueue()
         assert rq.effective_capacity(1e3, 1, nr_running=100000) >= 0.0
+
+
+class TestSwitchCostSum:
+    @pytest.mark.parametrize("kpti", [False, True])
+    @pytest.mark.parametrize("global_maps", [False, True])
+    @pytest.mark.parametrize("mmu_ns", [0.0, 1350.0])
+    def test_total_is_the_breakdown_sum(self, kpti, global_maps, mmu_ns):
+        """``switch_cost_ns`` adds the five ``switch_cost`` terms in
+        their order, so the two agree to the last bit."""
+        rq = RunQueue(
+            kpti=kpti, global_kernel_mappings=global_maps,
+            mmu_hypercall_ns=mmu_ns,
+        )
+        for pid in range(1, 6):
+            rq.add(make_proc(pid))
+        rq._procs[0].state = ProcessState.ZOMBIE
+        for n in (None, 1, 2, 3, 7, 100, 4096):
+            b = rq.switch_cost(n)
+            total = b.base_ns + b.queue_ns + b.tlb_ns + b.mmu_ns + b.cache_ns
+            assert rq.switch_cost_ns(n) == total

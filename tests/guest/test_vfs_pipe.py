@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.guest.pipe import Pipe
+from repro.guest.pipe import Pipe, PipeError
 from repro.guest.vfs import O_APPEND, O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, RamFS, VfsError
 
 
@@ -134,3 +134,32 @@ class TestPipe:
             expected += chunk[:accepted]
         out = pipe.read(len(expected) + 10)
         assert out == bytes(expected)
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 300)), max_size=40
+        )
+    )
+    def test_interleaved_reads_match_a_byte_queue(self, ops):
+        """Reads and writes in any mix (a whole single chunk returned
+        as is, split chunks, empty reads) match a plain byte queue."""
+        pipe = Pipe(capacity=512)
+        queue = bytearray()
+        for index, (is_write, size) in enumerate(ops):
+            if is_write:
+                data = bytes([index % 256]) * size
+                accepted = pipe.write(data)
+                queue += data[:accepted]
+            else:
+                out = pipe.read(size)
+                assert type(out) is bytes
+                assert out == bytes(queue[:size])
+                del queue[:size]
+            assert pipe.free_space == pipe.capacity - len(queue)
+        assert pipe.bytes_written - pipe.bytes_read == len(queue)
+
+    def test_negative_read_is_einval(self):
+        with pytest.raises(PipeError) as excinfo:
+            Pipe().read(-1)
+        assert excinfo.value.errno == errno.EINVAL
+        assert excinfo.value.strerror == "EINVAL"

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.arch.assembler import Assembler
+from repro.arch.cpu import Trap, TrapKind
 from repro.arch.registers import Reg
 from repro.platforms import (
     ClearContainerPlatform,
@@ -155,6 +156,21 @@ class TestEmulatedExecution:
         run = x.run_binary(binary)
         docker_run = DockerPlatform().run_binary(binary)
         assert run.elapsed_ns < docker_run.elapsed_ns
+
+    def test_invalid_opcode_raises(self):
+        """``run_binary`` installs a syscall entry and no trap handler,
+        so a #UD reaches the caller as a ``Trap``, after the syscalls
+        before it were served."""
+        asm = Assembler()
+        site = asm.syscall_site(39, style="mov_eax")
+        asm.label("bad")
+        asm.raw(b"\x60\xff")  # the patched-call tail bytes
+        binary = asm.build()
+        with pytest.raises(Trap) as excinfo:
+            DockerPlatform().run_binary(binary)
+        assert excinfo.value.kind is TrapKind.INVALID_OPCODE
+        assert excinfo.value.rip == binary.symbols["bad"]
+        assert site.syscall_addr < excinfo.value.rip
 
     def test_elapsed_scales_with_syscall_cost(self):
         binary = self._loop()
